@@ -15,9 +15,7 @@ transcription shipped in ``data/case_table.txt`` byte-for-byte.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
@@ -29,8 +27,9 @@ from .errors import (
     InconsistentTuple,
     TableMismatch,
 )
-from .lottery import Lottery, decompose
-from .relation import KIND_INDEX, KIND_ORDER, RelKind
+from .lottery import Lottery, mixture_instances, mixture_table
+from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
+from .relation import KIND_INDEX, KIND_ORDER, RelKind, classify_pair
 
 __all__ = [
     "CaseTuple",
@@ -69,18 +68,6 @@ def _sort_key(t: CaseTuple):
     return tuple(KIND_INDEX[k] for k in t)
 
 
-def _kind_of(weak, a, b) -> RelKind:
-    ab = (a, b) in weak
-    ba = (b, a) in weak
-    if ab and ba:
-        return RelKind.EQUIV
-    if ab:
-        return RelKind.LESS
-    if ba:
-        return RelKind.GREATER
-    return RelKind.INCOMP
-
-
 @lru_cache(maxsize=None)
 def consistent_tuples() -> tuple[CaseTuple, ...]:
     """All draw tuples realizable by some preorder on {f1, f2, g1, g2}.
@@ -108,10 +95,10 @@ def consistent_tuples() -> tuple[CaseTuple, ...]:
             continue
         found.add(
             CaseTuple(
-                _kind_of(weak, f1, g1),
-                _kind_of(weak, f1, g2),
-                _kind_of(weak, f2, g1),
-                _kind_of(weak, f2, g2),
+                classify_pair(weak, f1, g1),
+                classify_pair(weak, f1, g2),
+                classify_pair(weak, f2, g1),
+                classify_pair(weak, f2, g2),
             )
         )
     return tuple(sorted(found, key=_sort_key))
@@ -248,128 +235,72 @@ class AxiomViolation:
         return f"{self.axiom} violated by: {parts}"
 
 
-def _proper_coefficient(h: Lottery, x: Lottery, y: Lottery):
-    if h == x or h == y:
-        return None
-    return decompose(h, x, y)
-
-
 def check_axioms(model: FiniteModel, rel=None) -> list[AxiomViolation]:
     """Every violated axiom instance whose mixture witnesses lie in the family.
 
     Quantification over all distributions is restricted to the closed
     family: an instance is checked only when the mixtures it mentions are
-    themselves family members.  ``rel`` is accepted for context only and
-    never consulted.
+    themselves family members.  Violations come grouped by axiom (A1',
+    A2, ..., A6) and, within an axiom, ordered by the family positions of
+    their witness lotteries, read left to right.  ``rel`` is accepted for
+    context only and never consulted.
     """
     del rel
     fam = list(dict.fromkeys(model.family))
-    fam_set = set(fam)
+    index = {h: i for i, h in enumerate(fam)}
+    weak = set()
     for x, y in model.weak:
-        if x not in fam_set:
+        i, j = index.get(x), index.get(y)
+        if i is None:
             raise ForeignLottery(x)
-        if y not in fam_set:
+        if j is None:
             raise ForeignLottery(y)
-    weak = model.weak
-    strict = {(x, y) for (x, y) in weak if (y, x) not in weak}
+        weak.add((i, j))
+    pairs = sorted(weak)
+    strict = {(x, y) for x, y in weak if (y, x) not in weak}
+    table = mixture_table(fam)
     violations: list[AxiomViolation] = []
 
     # reflexivity
-    for h in fam:
+    for h in range(len(fam)):
         if (h, h) not in weak:
-            violations.append(AxiomViolation("A1'", (h,)))
+            violations.append(AxiomViolation("A1'", (fam[h],)))
 
     # transitivity
-    for x, y in weak:
-        for y2, z in weak:
-            if y == y2 and (x, z) not in weak:
-                violations.append(AxiomViolation("A2", (x, y, z)))
-
-    # coefficient (boundaries included) of each member against ordered pairs
-    coeffs: dict[tuple[Lottery, Lottery], list[tuple[Lottery, Fraction]]] = {}
-    for x, y in itertools.permutations(fam, 2):
-        entries = []
-        for h in fam:
-            if h == x:
-                entries.append((h, Fraction(1)))
-            elif h == y:
-                entries.append((h, Fraction(0)))
-            else:
-                c = decompose(h, x, y)
-                if c is not None:
-                    entries.append((h, c))
-        coeffs[(x, y)] = entries
+    above = [[] for _ in fam]
+    for x, y in pairs:
+        above[x].append(y)
+    for x, y in pairs:
+        for z in above[y]:
+            if (x, z) not in weak:
+                violations.append(AxiomViolation("A2", (fam[x], fam[y], fam[z])))
 
     # mixing a strict pair with itself: more weight on the worse side is worse
-    for f, g in strict:
-        if f == g:
-            continue
-        cs = coeffs[(f, g)]
-        for h_beta, beta in cs:
-            for h_alpha, alpha in cs:
+    for f, g in sorted(strict):
+        row = table[f, g]
+        for h_beta, beta in row:
+            for h_alpha, alpha in row:
                 if beta > alpha and (h_beta, h_alpha) not in strict:
-                    violations.append(
-                        AxiomViolation("A3", (f, g, alpha, beta, h_beta, h_alpha))
-                    )
+                    violations.append(AxiomViolation(
+                        "A3", (fam[f], fam[g], alpha, beta, fam[h_beta], fam[h_alpha])
+                    ))
 
-    def instances(x1, x2, y1, y2, alpha_positive):
-        """Pairs (hx, hy, alpha) with hx = a*x1+(1-a)*x2 and hy = a*y1+(1-a)*y2."""
-        if x1 == x2 and y1 == y2:
-            yield x1, y1, None
-            return
-        if x1 == x2:
-            for hy, a in coeffs[(y1, y2)]:
-                if not alpha_positive or a > 0:
-                    yield x1, hy, a
-            return
-        if y1 == y2:
-            for hx, a in coeffs[(x1, x2)]:
-                if not alpha_positive or a > 0:
-                    yield hx, y1, a
-            return
-        by_alpha = {a: hy for hy, a in coeffs[(y1, y2)]}
-        for hx, a in coeffs[(x1, x2)]:
-            if (not alpha_positive or a > 0) and a in by_alpha:
-                yield hx, by_alpha[a], a
-
-    # mixing two weak facts at a shared coefficient
-    for f1, g1 in weak:
-        for f2, g2 in weak:
-            for hf, hg, a in instances(f1, f2, g1, g2, alpha_positive=False):
-                if (hf, hg) not in weak:
-                    violations.append(
-                        AxiomViolation("A4", (f1, g1, f2, g2, a, hf, hg))
-                    )
-
-    # mixing a strict with a weak fact; the strict side needs positive weight
-    for f1, g1 in strict:
-        for f2, g2 in weak:
-            for hf, hg, a in instances(f1, f2, g1, g2, alpha_positive=True):
-                if (hf, hg) not in strict:
-                    violations.append(
-                        AxiomViolation("A5", (f1, g1, f2, g2, a, hf, hg))
-                    )
-
-    # persistence: a strict mixture pair needs some strict draw
-    proper: dict[Lottery, dict[Fraction, list[tuple[Lottery, Lottery]]]] = {h: {} for h in fam}
-    for x, y in itertools.permutations(fam, 2):
-        for h in fam:
-            c = _proper_coefficient(h, x, y)
-            if c is not None:
-                proper[h].setdefault(c, []).append((x, y))
-    for hf, hg in strict:
-        alphas = set(proper[hf]) | set(proper[hg])
-        for a in alphas:
-            f_opts = proper[hf].get(a, []) + [(hf, hf)]
-            g_opts = proper[hg].get(a, []) + [(hg, hg)]
-            for f1, f2 in f_opts:
-                for g1, g2 in g_opts:
-                    if f1 == f2 and g1 == g2:
-                        continue  # the strict pair itself is a draw
-                    if not any(
-                        (fj, gk) in strict for fj in (f1, f2) for gk in (g1, g2)
-                    ):
-                        violations.append(
-                            AxiomViolation("A6", (f1, f2, g1, g2, a, hf, hg))
-                        )
+    # A4 mixes two weak facts at a shared coefficient, A5 a strict with a
+    # weak one; A6 (persistence) asks a strict mixture pair for a strict draw
+    a4, a5, a6 = [], [], []
+    for hf, hg, a, (f1, f2), (g1, g2) in mixture_instances(table, len(fam)):
+        if (f1, g1) in weak and (f2, g2) in weak:
+            if (hf, hg) not in weak:
+                a4.append((f1, g1, f2, g2, hf, hg, a))
+            if (f1, g1) in strict and (hf, hg) not in strict:
+                a5.append((f1, g1, f2, g2, hf, hg, a))
+        if (hf, hg) in strict and not any(
+            (fj, gk) in strict for fj in (f1, f2) for gk in (g1, g2)
+        ):
+            a6.append((f1, f2, g1, g2, hf, hg, a))
+    for axiom, found in (("A4", a4), ("A5", a5), ("A6", a6)):
+        for w1, w2, w3, w4, hf, hg, a in sorted(found):
+            violations.append(AxiomViolation(
+                axiom, (fam[w1], fam[w2], fam[w3], fam[w4], a, fam[hf], fam[hg])
+            ))
     return violations

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
-from .errors import DegeneratePair, DuplicateOfferName
-from .lottery import Lottery, convex_combine, decompose
+from .errors import DuplicateOfferName
+from .lottery import Lottery, mixture_instances, mixture_table
+from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
 from .relation import KIND_INDEX, BaseRelation, RelKind
 
 __all__ = [
@@ -259,15 +261,6 @@ class DerivedFacts:
     provenance: dict = field(default_factory=dict, compare=False)
 
 
-def _coefficient(h: Lottery, x: Lottery, y: Lottery):
-    """Alpha in [0, 1] with h = alpha*x + (1-alpha)*y, or None; x != y."""
-    if h == x:
-        return Fraction(1)
-    if h == y:
-        return Fraction(0)
-    return decompose(h, x, y)
-
-
 def saturate(rel: BaseRelation, family) -> DerivedFacts:
     """Least fixpoint of the mixture derivation rules over ``family``.
 
@@ -288,118 +281,86 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
         for a in lot.support():
             rel._require(a)
 
-    weak: set[tuple[Lottery, Lottery]] = set()
-    strict: set[tuple[Lottery, Lottery]] = set()
+    # the fixpoint runs on pool indices
+    weak: set[tuple[int, int]] = set()
+    strict: set[tuple[int, int]] = set()
     prov: dict = {}
 
-    def add_weak(pair, derivation):
-        if pair not in weak:
-            weak.add(pair)
-            prov.setdefault(pair, derivation)
-            return True
-        return False
+    def add_weak(pair, rule, premises, alpha=None):
+        if pair in weak:
+            return False
+        weak.add(pair)
+        prov[pair] = (rule, premises, alpha)
+        return True
 
-    def add_strict(pair, derivation):
-        changed = False
-        if pair not in strict:
-            strict.add(pair)
-            prov[pair] = derivation
-            changed = True
-        if pair not in weak:
-            weak.add(pair)
-            changed = True
-        return changed
+    def add_strict(pair, rule, premises, alpha=None):
+        if pair in strict:
+            return False
+        strict.add(pair)
+        weak.add(pair)
+        prov[pair] = (rule, premises, alpha)
+        return True
 
-    for x in pool:
-        add_weak((x, x), Derivation("reflexive", (x,)))
-    for x in pool:
-        for y in pool:
-            if x == y:
-                continue
-            if dominates(rel, x, y):
-                add_weak((x, y), Derivation("seed-dominance", (x, y)))
-            plan = shift_reachable(rel, x, y)
-            if plan is not None:
-                add_strict((x, y), Derivation("seed-shift", (x, y, plan)))
+    for x in range(len(pool)):
+        add_weak((x, x), "reflexive", (x,))
+    for x, y in permutations(range(len(pool)), 2):
+        if dominates(rel, pool[x], pool[y]):
+            add_weak((x, y), "seed-dominance", (x, y))
+        plan = shift_reachable(rel, pool[x], pool[y])
+        if plan is not None:
+            add_strict((x, y), "seed-shift", (x, y, plan))
 
-    # coefficient of every pool member against every ordered pool pair
-    coeffs: dict[tuple[Lottery, Lottery], list[tuple[Lottery, Fraction]]] = {}
-    for x in pool:
-        for y in pool:
-            if x == y:
-                continue
-            entries = []
-            for h in pool:
-                c = _coefficient(h, x, y)
-                if c is not None:
-                    entries.append((h, c))
-            coeffs[(x, y)] = entries
-
-    def mix_targets(x1, x2, strict_alpha_positive):
-        """(h, alpha) pairs with h = alpha*x1 + (1-alpha)*x2 in the pool.
-
-        For x1 == x2 the mixture is x1 for every alpha; alpha is reported
-        as None (matches anything).
-        """
-        if x1 == x2:
-            return [(x1, None)]
-        out = coeffs[(x1, x2)]
-        if strict_alpha_positive:
-            out = [(h, c) for h, c in out if c > 0]
-        return out
-
+    table = mixture_table(pool)
+    mixes = list(mixture_instances(table, len(pool)))
     changed = True
     while changed:
         changed = False
         # transitivity (weak composed with weak; strict absorbs weak)
-        for (x, y1) in list(weak):
-            for (y2, z) in list(weak):
-                if y1 != y2 or x == z:
+        above = [[] for _ in pool]
+        for x, y in weak:
+            above[x].append(y)
+        for x, y in list(weak):
+            for z in above[y]:
+                if x == z:
                     continue
-                s = (x, y1) in strict or (y2, z) in strict
-                d = Derivation("A2", ((x, y1), (y2, z)))
-                if s:
-                    changed |= add_strict((x, z), d)
+                premises = ((x, y), (y, z))
+                if (x, y) in strict or (y, z) in strict:
+                    changed |= add_strict((x, z), "A2", premises)
                 else:
-                    changed |= add_weak((x, z), d)
+                    changed |= add_weak((x, z), "A2", premises)
         # mixing a strict pair with itself at two coefficients
-        for (f, g) in list(strict):
-            if f == g:
-                continue
-            cs = coeffs[(f, g)]
-            for h1, c1 in cs:
-                for h2, c2 in cs:
+        for f, g in list(strict):
+            row = table[f, g]
+            for h1, c1 in row:
+                for h2, c2 in row:
                     if c1 > c2:
                         # h1 weights the worse component more heavily
-                        changed |= add_strict(
-                            (h1, h2), Derivation("A3", ((f, g), h1, c1, h2, c2))
-                        )
-        # mixing two weak facts / a strict with a weak at a shared alpha
-        weak_facts = list(weak)
-        strict_facts = list(strict)
-        for first_strict, first_list in ((False, weak_facts), (True, strict_facts)):
-            for (f1, g1) in first_list:
-                for (f2, g2) in weak_facts:
-                    for hf, af in mix_targets(f1, f2, first_strict):
-                        for hg, ag in mix_targets(g1, g2, first_strict):
-                            if af is not None and ag is not None and af != ag:
-                                continue
-                            alpha = af if af is not None else ag
-                            d = Derivation(
-                                "A5" if first_strict else "A4",
-                                ((f1, g1), (f2, g2), hf, hg),
-                                alpha=alpha,
-                            )
-                            if first_strict:
-                                changed |= add_strict((hf, hg), d)
-                            else:
-                                changed |= add_weak((hf, hg), d)
+                        changed |= add_strict((h1, h2), "A3", ((f, g), h1, c1, h2, c2))
+        # mixing two weak facts / a strict with a weak fact at a shared alpha
+        for hf, hg, a, (f1, f2), (g1, g2) in mixes:
+            if (f1, g1) in weak and (f2, g2) in weak:
+                premises = ((f1, g1), (f2, g2), hf, hg)
+                if (f1, g1) in strict:
+                    changed |= add_strict((hf, hg), "A5", premises, a)
+                else:
+                    changed |= add_weak((hf, hg), "A4", premises, a)
 
-    fam = set(family)
+    def lift(premise):
+        if isinstance(premise, tuple):
+            return tuple(lift(p) for p in premise)
+        return pool[premise] if type(premise) is int else premise
+
+    def facts(pairs):
+        m = len(family)  # family members come first in the pool
+        return frozenset((pool[x], pool[y]) for x, y in pairs if x < m and y < m)
+
     return DerivedFacts(
-        weak=frozenset(p for p in weak if p[0] in fam and p[1] in fam),
-        strict=frozenset(p for p in strict if p[0] in fam and p[1] in fam),
-        provenance=prov,
+        weak=facts(weak),
+        strict=facts(strict),
+        provenance={
+            (pool[x], pool[y]): Derivation(rule, lift(premises), alpha)
+            for (x, y), (rule, premises, alpha) in prov.items()
+        },
     )
 
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import gcd, lcm
 
 from .errors import (
     AlphaOutOfRange,
@@ -19,7 +22,14 @@ from .errors import (
 )
 from .relation import check_id
 
-__all__ = ["Lottery", "make_lottery", "convex_combine", "decompose"]
+__all__ = [
+    "Lottery",
+    "make_lottery",
+    "convex_combine",
+    "decompose",
+    "mixture_table",
+    "mixture_instances",
+]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -97,6 +107,43 @@ def convex_combine(alpha, f: Lottery, g: Lottery) -> Lottery:
     return Lottery(entries=entries)
 
 
+def _scaled(lotteries) -> list[list[int]]:
+    """Integer weight vectors over the lotteries' common denominator."""
+    alts = sorted({a for lot in lotteries for a, _ in lot.entries})
+    column = {a: c for c, a in enumerate(alts)}
+    denom = lcm(*(w.denominator for lot in lotteries for _, w in lot.entries))
+    vectors = []
+    for lot in lotteries:
+        vec = [0] * len(alts)
+        for a, w in lot.entries:
+            vec[column[a]] = w.numerator * (denom // w.denominator)
+        vectors.append(vec)
+    return vectors
+
+
+def _segment(vectors, x, y) -> list[tuple[int, int, int]]:
+    """(k, num, den) for each vectors[k] = alpha*x + (1-alpha)*y, alpha in [0, 1].
+
+    ``alpha = num/den`` in lowest terms with ``den > 0``; each candidate is
+    decided by integer cross-multiplication.  Raises
+    :class:`DegeneratePair` when x == y.
+    """
+    diff = [a - b for a, b in zip(x, y)]
+    pivot = next((c for c, d in enumerate(diff) if d), None)
+    if pivot is None:
+        raise DegeneratePair()
+    den, y_pivot = diff[pivot], y[pivot]
+    out = []
+    for k, h in enumerate(vectors):
+        num = h[pivot] - y_pivot
+        if not (0 <= num <= den or den <= num <= 0):
+            continue
+        if all((hc - yc) * den == num * dc for hc, yc, dc in zip(h, y, diff)):
+            g = gcd(num, den) * (1 if den > 0 else -1)
+            out.append((k, num // g, den // g))
+    return out
+
+
 def decompose(h: Lottery, f: Lottery, g: Lottery):
     """Recover alpha in the open interval (0, 1) with h = alpha*f + (1-alpha)*g.
 
@@ -104,19 +151,53 @@ def decompose(h: Lottery, f: Lottery, g: Lottery):
     decompositions h == f or h == g are deliberately excluded).  Raises
     :class:`DegeneratePair` when f == g.
     """
-    if f == g:
-        raise DegeneratePair()
-    pivot = None
-    for alt in f.support() | g.support():
-        if f.weight(alt) != g.weight(alt):
-            pivot = alt
-            break
-    # f != g guarantees a pivot exists
-    fa, ga = f.weight(pivot), g.weight(pivot)
-    alpha = (h.weight(pivot) - ga) / (fa - ga)
-    if not (0 < alpha < 1):
-        return None
-    for alt in f.support() | g.support() | h.support():
-        if h.weight(alt) != alpha * f.weight(alt) + (1 - alpha) * g.weight(alt):
-            return None
-    return alpha
+    vh, vf, vg = _scaled((h, f, g))
+    for _, num, den in _segment([vh], vf, vg):
+        if 0 < num < den:
+            return Fraction(num, den)
+    return None
+
+
+def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+    """Every mixture relation among a list of distinct lotteries, by index.
+
+    Maps each ordered index pair (i, j), i != j, to the list of (k, alpha),
+    k ascending, with ``lotteries[k] = alpha*lotteries[i] +
+    (1-alpha)*lotteries[j]``; the boundaries (i, 1) and (j, 0) are
+    included.  Weights are scaled to integers over their common
+    denominator, so every entry is decided exactly; alpha is a Fraction.
+    """
+    vectors = _scaled(lotteries)
+    fraction = cache(Fraction)  # one Fraction per coefficient value
+    table = {}
+    for i, j in combinations(range(len(vectors)), 2):
+        row = _segment(vectors, vectors[i], vectors[j])
+        table[i, j] = [(k, fraction(num, den)) for k, num, den in row]
+        table[j, i] = [(k, fraction(den - num, den)) for k, num, den in row]
+    return table
+
+
+def mixture_instances(table, size: int):
+    """Every way two index pairs mix into two members at one proper alpha.
+
+    Yields ``(hf, hg, alpha, (f1, f2), (g1, g2))`` with 0 < alpha < 1,
+    ``hf = alpha*f1 + (1-alpha)*f2`` and ``hg = alpha*g1 + (1-alpha)*g2``
+    over a :func:`mixture_table` of ``size`` lotteries.  Either side may be
+    the trivial split (h, h), which mixes to h at every alpha, but not
+    both.  An alpha of 0 or 1 only mixes a pair back into one of its two
+    members, so it is left out.
+    """
+    splits: dict[Fraction, list[list[tuple[int, int]]]] = {}
+    for (x, y), row in table.items():
+        for h, alpha in row:
+            if h != x and h != y:
+                if alpha not in splits:
+                    splits[alpha] = [[(m, m)] for m in range(size)]
+                splits[alpha][h].append((x, y))
+    for alpha, options in splits.items():
+        for hf in range(size):
+            for hg in range(size):
+                for f in options[hf]:
+                    for g in options[hg]:
+                        if f != (hf, hf) or g != (hg, hg):
+                            yield hf, hg, alpha, f, g

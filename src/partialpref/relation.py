@@ -20,6 +20,7 @@ __all__ = [
     "PrefFact",
     "BaseRelation",
     "check_id",
+    "classify_pair",
     "build_base_relation",
 ]
 
@@ -57,6 +58,19 @@ class RelKind(Enum):
 # canonical display/sort order of the four symbols
 KIND_ORDER = (RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP)
 KIND_INDEX = {k: i for i, k in enumerate(KIND_ORDER)}
+
+
+def classify_pair(weak, a, b) -> RelKind:
+    """Four-way classification of (a, b) under a set of weak pairs."""
+    ab = (a, b) in weak
+    ba = (b, a) in weak
+    if ab and ba:
+        return RelKind.EQUIV
+    if ab:
+        return RelKind.LESS
+    if ba:
+        return RelKind.GREATER
+    return RelKind.INCOMP
 
 
 class FactKind(Enum):
@@ -105,15 +119,9 @@ class BaseRelation:
 
     def classify(self, a: str, b: str) -> RelKind:
         """Four-way classification of the ordered pair (a, b)."""
-        ab = self.holds(a, b)
-        ba = self.holds(b, a)
-        if ab and ba:
-            return RelKind.EQUIV
-        if ab:
-            return RelKind.LESS
-        if ba:
-            return RelKind.GREATER
-        return RelKind.INCOMP
+        self._require(a)
+        self._require(b)
+        return classify_pair(self.weak, a, b)
 
 
 def _close(universe: set[str], pairs: set[tuple[str, str]]) -> frozenset[tuple[str, str]]:

@@ -204,6 +204,25 @@ class TestCheckAxioms:
         with pytest.raises(ForeignLottery):
             check_axioms(model)
 
+    def test_family_order_does_not_change_violations(self):
+        # a witness mapped back to the wrong lottery changes the multiset
+        rng = random.Random(31)
+        for _ in range(50):
+            alts = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+            utility = eu_utility(rng, alts)
+            base = [random_grid_lottery(rng, alts, 4) for _ in range(4)]
+            mids = [convex_combine(F(1, 2), x, y) for x, y in zip(base, base[1:])]
+            model = eu_model(list(dict.fromkeys(base + mids)), utility)
+            pair = (rng.choice(model.family), rng.choice(model.family))
+            mutated = FiniteModel(family=model.family, weak=model.weak ^ {pair})
+            for m in (model, mutated):
+                shuffled = list(m.family)
+                rng.shuffle(shuffled)
+                relabelled = FiniteModel(family=tuple(shuffled), weak=m.weak)
+                assert sorted(map(str, check_axioms(relabelled))) == sorted(
+                    map(str, check_axioms(m))
+                )
+
     def test_single_mutation_detected(self, rng):
         alts = ["a", "b", "c"]
         utility = eu_utility(rng, alts)

@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import partialpref
 from partialpref.casetable import bundled_table_text
 from partialpref.cli import run
 
@@ -141,6 +145,32 @@ class TestCheck:
         code, out, _ = invoke("check", str(chain), str(path))
         assert code == 4
         assert "A2" in out
+
+    def test_output_identical_across_hash_seeds(self, chain, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text(
+            "f : a@1\ng : c@1\nm : a@1/2, c@1/2\n"
+            "q : a@1/4, c@3/4\nr : a@3/4, c@1/4\n"
+            "f <= f\ng <= g\nm <= m\nr <= r\n"
+            "f <= g\ng <= m\nm <= q\nq <= r\nr <= g\nf <= m\n"
+        )
+        src = str(Path(partialpref.__file__).resolve().parents[1])
+        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path_var}
+            proc = subprocess.run(
+                [sys.executable, "-c", "from partialpref.cli import main; main()",
+                 "check", str(chain), str(path)],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 4, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        lines = outputs.pop().decode().splitlines()
+        axioms = [line.split(":")[0] for line in lines]
+        assert axioms == sorted(axioms)  # grouped by axiom, A1' first
+        assert {"A1'", "A2", "A3", "A4", "A5", "A6"} <= set(axioms)
 
     def test_unknown_model_name_exits_1(self, chain, tmp_path):
         path = tmp_path / "model.txt"

@@ -221,6 +221,28 @@ class TestSaturate:
             assert d.rule in ("A2", "A3", "A5", "seed-shift")
 
 
+    def test_family_order_does_not_change_facts(self):
+        # a fact mapped back to the wrong lottery changes the rendered lines
+        def lines(facts):
+            return sorted(
+                f"{x} {'<' if (x, y) in facts.strict else '<='} {y}"
+                for x, y in facts.weak
+            )
+
+        rng = random.Random(37)
+        for _ in range(50):
+            rel = random_relation(rng, rng.randint(2, 4))
+            alts = sorted(rel.universe)
+            base = [random_grid_lottery(rng, alts, 4) for _ in range(3)]
+            mids = [convex_combine(F(1, 2), x, y) for x, y in zip(base, base[1:])]
+            family = list(dict.fromkeys(base + mids))
+            facts = saturate(rel, family)
+            rng.shuffle(family)
+            relabelled = saturate(rel, family)
+            assert lines(relabelled) == lines(facts)
+            assert relabelled.provenance.keys() == facts.provenance.keys()
+
+
 class TestMaximalFilter:
     def test_bob_scenario(self):
         rel = build_base_relation([strict("carl5", "carl1"), strict("mary1", "mary3")])

@@ -10,9 +10,15 @@ from partialpref.errors import (
     NegativeWeight,
     NotNormalized,
 )
-from partialpref.lottery import Lottery, convex_combine, decompose, make_lottery
+from partialpref.lottery import (
+    Lottery,
+    convex_combine,
+    decompose,
+    make_lottery,
+    mixture_table,
+)
 
-from conftest import grid_lotteries
+from conftest import alt_names, grid_lotteries
 
 
 class TestMakeLottery:
@@ -118,3 +124,30 @@ class TestGridRoundTrip:
         for lot in grid_lotteries(["a", "b", "c"], 6):
             assert sum((w for _, w in lot.items()), F(0)) == 1
             assert all(w > 0 and w.denominator > 0 for _, w in lot.items())
+
+
+class TestMixtureTable:
+    def test_matches_convex_combine_on_quarter_grid(self):
+        # on the 1/4 grid every coefficient linking three members is p/q
+        # with q <= 4, so these candidates are exhaustive
+        lots = grid_lotteries(alt_names(3), 4)
+        position = {lot: k for k, lot in enumerate(lots)}
+        candidates = sorted({F(p, q) for q in range(1, 5) for p in range(q + 1)})
+        table = mixture_table(lots)
+        assert set(table) == set(itertools.permutations(range(len(lots)), 2))
+        for (i, j), row in table.items():
+            expected = []
+            for alpha in candidates:
+                k = position.get(convex_combine(alpha, lots[i], lots[j]))
+                if k is not None:
+                    expected.append((k, alpha))
+            assert row == sorted(expected), (i, j)
+            assert all(type(alpha) is F for _, alpha in row)
+            proper = {k: alpha for k, alpha in row if k not in (i, j)}
+            for k, h in enumerate(lots):
+                assert decompose(h, lots[i], lots[j]) == proper.get(k)
+
+    def test_distinct_lotteries_required(self):
+        f = Lottery.degenerate("a")
+        with pytest.raises(DegeneratePair):
+            mixture_table([f, f])
