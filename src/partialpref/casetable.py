@@ -29,7 +29,7 @@ from .errors import (
 )
 from .lottery import Lottery, mixture_instances, mixture_table
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
-from .relation import KIND_INDEX, KIND_ORDER, RelKind, classify_pair
+from .relation import KIND_INDEX, KIND_ORDER, RelKind, classify_pair, render_symbols
 
 __all__ = [
     "CaseTuple",
@@ -151,8 +151,7 @@ def render_table(rows) -> str:
     """Serialize table rows as ``<t1><t2><t3><t4> -> <set>`` lines."""
     lines = []
     for t, outcome in rows:
-        syms = " ".join(k.symbol for k in outcome.sorted_members())
-        lines.append(f"{CaseTuple(*t).symbols()} -> {syms}")
+        lines.append(f"{CaseTuple(*t).symbols()} -> {render_symbols(outcome.members)}")
     return "\n".join(lines) + "\n"
 
 
@@ -218,9 +217,6 @@ class FiniteModel:
 
     family: tuple[Lottery, ...]
     weak: frozenset[tuple[Lottery, Lottery]]
-
-    def is_strict(self, x: Lottery, y: Lottery) -> bool:
-        return (x, y) in self.weak and (y, x) not in self.weak
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import casetable, dsl, engine
 from .errors import PrefError, StrictViolation, TableMismatch
-from .relation import KIND_INDEX
+from .relation import render_symbols
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,11 +88,8 @@ def _cmd_compare(args, out, err) -> int:
             return 1
     verdict = engine.compare(rel, lots[args.name1], lots[args.name2])
     if args.format == "tsv":
-        line = "\t".join(k.symbol for k in verdict.sorted_members())
+        line = dsl.render_verdict(verdict, verbose=args.verbose, sep="\t")
         print(f"{args.name1}\t{args.name2}\t{line}", file=out)
-        if args.verbose:
-            for note in verdict.provenance:
-                print(f"  {note}", file=out)
     else:
         print(dsl.render_verdict(verdict, verbose=args.verbose), file=out)
     return 0
@@ -113,8 +110,8 @@ def _cmd_table(args, out, err) -> int:
             casetable.verify_table(args.verify.read_text("utf-8"))
         except TableMismatch as exc:
             for case, expected, computed in exc.diffs:
-                exp = " ".join(k.symbol for k in sorted(expected, key=KIND_INDEX.__getitem__)) if expected else "(missing)"
-                got = " ".join(k.symbol for k in sorted(computed, key=KIND_INDEX.__getitem__)) if computed else "(missing)"
+                exp = render_symbols(expected) if expected else "(missing)"
+                got = render_symbols(computed) if computed else "(missing)"
                 print(f"{case.symbols()}: transcription [{exp}] != computed [{got}]", file=err)
             return 3
         print("table matches transcription", file=out)

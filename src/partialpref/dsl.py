@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import AdmissibleSet
-from .errors import DslSyntaxError, DuplicateName, MalformedId
+from .errors import DslSyntaxError, DuplicateName
 from .lottery import Lottery, make_lottery
-from .relation import BaseRelation, FactKind, PrefFact, build_base_relation, check_id
+from .relation import BaseRelation, FactKind, PrefFact, build_base_relation, check_id, render_symbols
 
 __all__ = [
     "PrefDocument",
@@ -29,7 +29,6 @@ __all__ = [
     "lotteries_from_document",
 ]
 
-_ID_RE = re.compile(r"[\w-]+", re.UNICODE)
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 # canonical ASCII operators, with unicode equivalents accepted on input
@@ -93,10 +92,6 @@ def parse_prefs(text: str) -> PrefDocument:
             if op[0] in _OPS and len(op) > 1:
                 col += 1  # the first character parses; point at the stray one
             raise DslSyntaxError(lineno, col, "operator <, <= or ~")
-        if not _ID_RE.fullmatch(left):
-            raise MalformedId(left)
-        if not _ID_RE.fullmatch(right):
-            raise MalformedId(right)
         facts.append(PrefFact(_OPS[op], left, right))
         positions.append(lineno)
     return PrefDocument(tuple(facts), tuple(universe), tuple(positions))
@@ -126,8 +121,7 @@ def parse_lotteries(text: str) -> LotteryDocument:
         if not sep:
             raise DslSyntaxError(lineno, len(line) + 1, "':' after the lottery name")
         name = head.strip()
-        if not _ID_RE.fullmatch(name):
-            raise MalformedId(name)
+        check_id(name)
         if name in names:
             raise DuplicateName(name, lineno)
         names.add(name)
@@ -141,8 +135,7 @@ def parse_lotteries(text: str) -> LotteryDocument:
                 raise DslSyntaxError(lineno, _column(line, item), "'@' between alternative and weight")
             alt = alt.strip()
             weight = weight.strip()
-            if not _ID_RE.fullmatch(alt):
-                raise MalformedId(alt)
+            check_id(alt)
             pairs.append((alt, _parse_rational(weight, lineno, _column(line, weight))))
         entries.append((name, tuple(pairs)))
         positions.append(lineno)
@@ -163,9 +156,9 @@ def render_lotteries(doc: LotteryDocument) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_verdict(verdict: AdmissibleSet, verbose: bool = False) -> str:
-    """Canonical-order symbols joined by spaces; provenance indented when verbose."""
-    out = " ".join(k.symbol for k in verdict.sorted_members())
+def render_verdict(verdict: AdmissibleSet, verbose: bool = False, sep: str = " ") -> str:
+    """Canonical-order symbols joined by ``sep``; provenance indented when verbose."""
+    out = render_symbols(verdict.members, sep)
     if verbose:
         for note in verdict.provenance:
             out += f"\n  {note}"
@@ -193,10 +186,8 @@ def parse_model(text: str) -> tuple[LotteryDocument, tuple[tuple[str, str], ...]
         if len(tokens) != 3 or tokens[1] not in ("<=", "⪯"):
             raise DslSyntaxError(lineno, 1, "'<name> : ...' or '<name> <= <name>'")
         left, _, right = tokens
-        if not _ID_RE.fullmatch(left):
-            raise MalformedId(left)
-        if not _ID_RE.fullmatch(right):
-            raise MalformedId(right)
+        check_id(left)
+        check_id(right)
         weak_pairs.append((left, right))
     doc = parse_lotteries("\n".join(lottery_lines))
     return doc, tuple(weak_pairs)

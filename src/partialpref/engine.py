@@ -16,14 +16,15 @@ Lifts the base preorder on alternatives to lottery pairs:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 
 from .errors import DuplicateOfferName
-from .lottery import Lottery, mixture_instances, mixture_table
+from .lottery import Lottery, mixture_instances, mixture_table, scale
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
-from .relation import KIND_INDEX, BaseRelation, RelKind
+from .relation import BaseRelation, RelKind
 
 __all__ = [
     "AdmissibleSet",
@@ -53,9 +54,6 @@ class AdmissibleSet:
     def __post_init__(self):
         if not self.members:
             raise ValueError("admissible set must be nonempty")
-
-    def sorted_members(self) -> list[RelKind]:
-        return sorted(self.members, key=KIND_INDEX.__getitem__)
 
     def mirror(self) -> "AdmissibleSet":
         return AdmissibleSet(
@@ -106,61 +104,49 @@ def dominates(rel: BaseRelation, f: Lottery, g: Lottery) -> bool:
     return all(k in (RelKind.LESS, RelKind.EQUIV) for k in profile.values())
 
 
-def _max_flow(sources: dict[str, Fraction], sinks: dict[str, Fraction], edges):
-    """Exact-rational max flow on a bipartite source/sink excess network.
+def _max_flow(excess: list[int], deficit: list[int], edges):
+    """Integer max flow from sources with ``excess`` to sinks with ``deficit``.
 
-    Returns (value, flow) where flow maps (src, dst) to mass.  Plain
-    BFS augmenting paths; instances are tiny.
+    ``edges`` are the (source, sink) index pairs that may carry any
+    amount.  Returns (value, flow) where flow maps (source, sink) to a
+    positive amount.  BFS augmenting paths over node indices: sources
+    0..n-1, sinks n..n+m-1, then the super source and the super sink.
     """
-    residual: dict[tuple[str, str], Fraction] = {}
-    total = sum(sources.values(), ZERO)
-    S, T = ("#src",), ("#snk",)
-    adj: dict[object, list[object]] = {S: [], T: []}
+    n, m = len(excess), len(deficit)
+    s, t = n + m, n + m + 1
+    total = sum(excess)
+    cap: list[dict[int, int]] = [{} for _ in range(t + 1)]  # residual capacity
+    arcs = [(s, i, x) for i, x in enumerate(excess)]
+    arcs += [(n + j, t, y) for j, y in enumerate(deficit)]
+    arcs += [(i, n + j, total) for i, j in edges]
+    for u, v, c in arcs:
+        cap[u][v] = c
+        cap[v][u] = 0
 
-    def add_edge(u, v, cap):
-        residual[(u, v)] = residual.get((u, v), ZERO) + cap
-        residual.setdefault((v, u), ZERO)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    for a, excess in sources.items():
-        add_edge(S, ("x", a), excess)
-    for b, deficit in sinks.items():
-        add_edge(("y", b), T, deficit)
-    for a, b in edges:
-        add_edge(("x", a), ("y", b), total)
-
-    value = ZERO
+    value = 0
     while True:
-        parent = {S: None}
-        queue = [S]
-        while queue and T not in parent:
-            u = queue.pop(0)
-            for v in adj.get(u, ()):
-                if v not in parent and residual.get((u, v), ZERO) > 0:
+        parent = [-1] * (t + 1)
+        parent[s] = s
+        queue = deque([s])
+        while queue and parent[t] < 0:
+            u = queue.popleft()
+            for v, c in cap[u].items():
+                if c and parent[v] < 0:
                     parent[v] = u
                     queue.append(v)
-        if T not in parent:
+        if parent[t] < 0:
             break
-        # bottleneck along the path
         path = []
-        v = T
-        while parent[v] is not None:
-            u = parent[v]
-            path.append((u, v))
-            v = u
-        bottleneck = min(residual[e] for e in path)
+        v = t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(cap[u][v] for u, v in path)
         for u, v in path:
-            residual[(u, v)] -= bottleneck
-            residual[(v, u)] += bottleneck
+            cap[u][v] -= bottleneck
+            cap[v][u] += bottleneck
         value += bottleneck
-
-    flow: dict[tuple[str, str], Fraction] = {}
-    for a in sources:
-        for b in sinks:
-            back = residual.get((("y", b), ("x", a)), ZERO)
-            if back > 0:
-                flow[(a, b)] = back
+    flow = {(i, j): cap[n + j][i] for i, j in edges if cap[n + j][i]}
     return value, flow
 
 
@@ -169,35 +155,34 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
 
     Feasible iff the excess mass of f over g can be routed entirely along
     strict pairs onto g's excess; strict transitivity lets multi-step
-    shift chains collapse to direct moves.
+    shift chains collapse to direct moves.  The pair is decided on integer
+    weights over its common denominator.
     """
-    for a in f.support() | g.support():
+    alts, denom, (vf, vg) = scale((f, g))
+    for a in alts:
         rel._require(a)
     if f == g:
         return None
-    excess = {}
-    deficit = {}
-    for a in f.support() | g.support():
-        d = f.weight(a) - g.weight(a)
-        if d > 0:
-            excess[a] = d
-        elif d < 0:
-            deficit[a] = -d
+    sources = [c for c in range(len(alts)) if vf[c] > vg[c]]
+    sinks = [c for c in range(len(alts)) if vf[c] < vg[c]]
     edges = [
-        (a, b)
-        for a in excess
-        for b in deficit
-        if rel.classify(a, b) is RelKind.LESS
+        (i, j)
+        for i, a in enumerate(sources)
+        for j, b in enumerate(sinks)
+        if rel.classify(alts[a], alts[b]) is RelKind.LESS
     ]
-    total = sum(excess.values(), ZERO)
-    value, flow = _max_flow(excess, deficit, edges)
-    if value != total:
+    excess = [vf[a] - vg[a] for a in sources]
+    value, flow = _max_flow(excess, [vg[b] - vf[b] for b in sinks], edges)
+    if value != sum(excess):
         return None
-    moves = dict(flow)
-    for a in f.support() & g.support():
-        stay = min(f.weight(a), g.weight(a))
-        if stay > 0:
-            moves[(a, a)] = stay
+    moves = {
+        (alts[sources[i]], alts[sinks[j]]): Fraction(mass, denom)
+        for (i, j), mass in flow.items()
+    }
+    for c, a in enumerate(alts):
+        stay = min(vf[c], vg[c])
+        if stay:
+            moves[(a, a)] = Fraction(stay, denom)
     return TransportPlan(moves=tuple(sorted(moves.items())))
 
 
@@ -271,12 +256,8 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
     is restricted to pairs of family members.
     """
     family = list(dict.fromkeys(family))
-    pool = list(family)
-    for lot in family:
-        for a in sorted(lot.support()):
-            deg = Lottery.degenerate(a)
-            if deg not in pool:
-                pool.append(deg)
+    degenerates = [Lottery.degenerate(a) for lot in family for a, _ in lot.entries]
+    pool = list(dict.fromkeys([*family, *degenerates]))
     for lot in pool:
         for a in lot.support():
             rel._require(a)

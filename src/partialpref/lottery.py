@@ -29,6 +29,7 @@ __all__ = [
     "decompose",
     "mixture_table",
     "mixture_instances",
+    "scale",
 ]
 
 ZERO = Fraction(0)
@@ -60,9 +61,6 @@ class Lottery:
 
     def support(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.entries)
-
-    def items(self) -> tuple[tuple[str, Fraction], ...]:
-        return self.entries
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{a}@{w}" for a, w in self.entries) + "}"
@@ -107,8 +105,13 @@ def convex_combine(alpha, f: Lottery, g: Lottery) -> Lottery:
     return Lottery(entries=entries)
 
 
-def _scaled(lotteries) -> list[list[int]]:
-    """Integer weight vectors over the lotteries' common denominator."""
+def scale(lotteries) -> tuple[list[str], int, list[list[int]]]:
+    """The lotteries as integer weight vectors over one common denominator.
+
+    Returns ``(alts, denom, vectors)``: the sorted union of the supports,
+    the least common denominator of every weight, and for each lottery the
+    vector whose entry c is its weight on ``alts[c]`` times ``denom``.
+    """
     alts = sorted({a for lot in lotteries for a, _ in lot.entries})
     column = {a: c for c, a in enumerate(alts)}
     denom = lcm(*(w.denominator for lot in lotteries for _, w in lot.entries))
@@ -118,7 +121,7 @@ def _scaled(lotteries) -> list[list[int]]:
         for a, w in lot.entries:
             vec[column[a]] = w.numerator * (denom // w.denominator)
         vectors.append(vec)
-    return vectors
+    return alts, denom, vectors
 
 
 def _segment(vectors, x, y) -> list[tuple[int, int, int]]:
@@ -151,7 +154,7 @@ def decompose(h: Lottery, f: Lottery, g: Lottery):
     decompositions h == f or h == g are deliberately excluded).  Raises
     :class:`DegeneratePair` when f == g.
     """
-    vh, vf, vg = _scaled((h, f, g))
+    _, _, (vh, vf, vg) = scale((h, f, g))
     for _, num, den in _segment([vh], vf, vg):
         if 0 < num < den:
             return Fraction(num, den)
@@ -167,7 +170,7 @@ def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction]]
     included.  Weights are scaled to integers over their common
     denominator, so every entry is decided exactly; alpha is a Fraction.
     """
-    vectors = _scaled(lotteries)
+    _, _, vectors = scale(lotteries)
     fraction = cache(Fraction)  # one Fraction per coefficient value
     table = {}
     for i, j in combinations(range(len(vectors)), 2):

@@ -21,15 +21,16 @@ __all__ = [
     "BaseRelation",
     "check_id",
     "classify_pair",
+    "render_symbols",
     "build_base_relation",
 ]
 
-_ID_RE = re.compile(r"^[\w-]+$", re.UNICODE)
+_ID_RE = re.compile(r"[\w-]+")
 
 
 def check_id(ident: str) -> str:
     """Validate an alternative identifier, returning it unchanged."""
-    if not isinstance(ident, str) or not _ID_RE.match(ident):
+    if not isinstance(ident, str) or not _ID_RE.fullmatch(ident):
         raise MalformedId(ident)
     return ident
 
@@ -58,6 +59,11 @@ class RelKind(Enum):
 # canonical display/sort order of the four symbols
 KIND_ORDER = (RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP)
 KIND_INDEX = {k: i for i, k in enumerate(KIND_ORDER)}
+
+
+def render_symbols(kinds, sep: str = " ") -> str:
+    """The symbols of ``kinds`` in canonical order, joined by ``sep``."""
+    return sep.join(k.symbol for k in sorted(kinds, key=KIND_INDEX.__getitem__))
 
 
 def classify_pair(weak, a, b) -> RelKind:

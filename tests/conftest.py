@@ -78,7 +78,7 @@ def eu_utility(rng: random.Random, alts: list[str]) -> dict[str, int]:
 
 
 def lottery_utility(lot: Lottery, utility: dict[str, int]) -> Fraction:
-    return sum((w * utility[a] for a, w in lot.items()), Fraction(0))
+    return sum((w * utility[a] for a, w in lot.entries), Fraction(0))
 
 
 @pytest.fixture

@@ -226,7 +226,7 @@ def test_criterion_7_engine_invariants():
         for k in range(1, 6):
             alpha = F(k, 6)
             h = convex_combine(alpha, f, g)
-            assert sum((w for _, w in h.items()), F(0)) == 1
+            assert sum((w for _, w in h.entries), F(0)) == 1
             assert decompose(h, f, g) == alpha
             trips += 1
     report(7, f"200 compare invariants, 166 mirrored rows, {trips} grid round-trips")

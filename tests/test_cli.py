@@ -19,6 +19,17 @@ def invoke(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def main_under_hash_seed(seed, *argv):
+    """``partialpref.cli.main`` in a fresh interpreter with PYTHONHASHSEED=seed."""
+    src = str(Path(partialpref.__file__).resolve().parents[1])
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path_var}
+    return subprocess.run(
+        [sys.executable, "-c", "from partialpref.cli import main; main()", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+
+
 @pytest.fixture
 def chain(tmp_path):
     path = tmp_path / "chain.prefs"
@@ -72,6 +83,30 @@ class TestCompare:
     def test_tsv_format(self, chain, lots):
         code, out, _ = invoke("--format", "tsv", "compare", str(chain), str(lots), "f", "g")
         assert out == "f\tg\t<\n"
+
+    def test_verbose_plan_identical_across_hash_seeds(self, tmp_path):
+        # R3 fires with several valid transport plans here; the printed one
+        # must not depend on set iteration order
+        prefs = tmp_path / "p.prefs"
+        prefs.write_text(
+            "a0 <= a2\na0 <= a3\na0 <= a4\na0 <= a5\na1 <= a2\na1 <= a3\n"
+            "a1 <= a4\na1 <= a5\na3 <= a2\na3 <= a4\na3 <= a5\na4 <= a2\n"
+            "a4 <= a5\na5 <= a2\na5 <= a4\n"
+        )
+        lots = tmp_path / "l.txt"
+        lots.write_text(
+            "f : a0@1/6, a1@1/12, a2@1/12, a3@7/12, a4@1/12\n"
+            "g : a2@1/2, a3@1/3, a5@1/6\n"
+        )
+        outputs = set()
+        for seed in ("0", "1", "2", "3", "4", "5"):
+            proc = main_under_hash_seed(
+                seed, "--verbose", "compare", str(prefs), str(lots), "f", "g"
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        assert b"R3 shift f => g with plan" in outputs.pop()
 
     def test_unknown_name_is_usage_error(self, chain, lots):
         code, _, err = invoke("compare", str(chain), str(lots), "f", "zz")
@@ -154,16 +189,9 @@ class TestCheck:
             "f <= f\ng <= g\nm <= m\nr <= r\n"
             "f <= g\ng <= m\nm <= q\nq <= r\nr <= g\nf <= m\n"
         )
-        src = str(Path(partialpref.__file__).resolve().parents[1])
-        path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         outputs = set()
         for seed in ("0", "1", "2", "3"):
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path_var}
-            proc = subprocess.run(
-                [sys.executable, "-c", "from partialpref.cli import main; main()",
-                 "check", str(chain), str(path)],
-                capture_output=True, env=env, timeout=120,
-            )
+            proc = main_under_hash_seed(seed, "check", str(chain), str(path))
             assert proc.returncode == 4, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1

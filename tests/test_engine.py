@@ -16,7 +16,7 @@ from partialpref.errors import DuplicateOfferName, UnknownAlternative
 from partialpref.lottery import Lottery, convex_combine, make_lottery
 from partialpref.relation import FactKind, PrefFact, RelKind, build_base_relation
 
-from conftest import random_grid_lottery, random_relation
+from conftest import alt_names, random_grid_lottery, random_relation
 
 E, L, G, I = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP
 
@@ -31,6 +31,54 @@ def weak(a, b):
 
 def deg(a):
     return Lottery.degenerate(a)
+
+
+def assert_valid_plan(rel, plan, f, g):
+    """Transport correctness: marginals and strict off-diagonal moves."""
+    assert plan.row_sums() == dict(f.entries)
+    assert plan.col_sums() == dict(g.entries)
+    for (src, dst), mass in plan.moves:
+        assert mass > 0
+        if src != dst:
+            assert rel.classify(src, dst) is L
+    assert any(src != dst for (src, dst), _ in plan.moves)
+
+
+def hall_condition(rel, f, g):
+    """Strassen/Hall feasibility of f < g by strict shifts, without max-flow.
+
+    Every nonempty set A of alternatives where f has excess must have
+    excess at most the total deficit of the alternatives where g has
+    excess and that lie strictly above some member of A.
+    """
+    diff = {a: f.weight(a) - g.weight(a) for a in f.support() | g.support()}
+    sources = sorted(a for a, d in diff.items() if d > 0)
+    sinks = sorted(a for a, d in diff.items() if d < 0)
+    if not sources:
+        return False
+    for r in range(1, len(sources) + 1):
+        for group in itertools.combinations(sources, r):
+            above = [b for b in sinks if any(rel.classify(a, b) is L for a in group)]
+            if sum(diff[a] for a in group) > -sum(diff[b] for b in above):
+                return False
+    return True
+
+
+def mixed_relation(rng):
+    """A random partial preorder, or the Pareto preorder of one or two
+    integer utilities, on 2-6 alternatives."""
+    n = rng.randint(2, 6)
+    utilities = rng.randrange(3)
+    if not utilities:
+        return random_relation(rng, n)
+    alts = alt_names(n)
+    us = [{a: rng.randrange(n) for a in alts} for _ in range(utilities)]
+    facts = [
+        weak(a, b)
+        for a, b in itertools.permutations(alts, 2)
+        if all(u[a] <= u[b] for u in us)
+    ]
+    return build_base_relation(facts, extra_universe=set(alts))
 
 
 @pytest.fixture
@@ -114,6 +162,24 @@ class TestShiftReachable:
         assert shift_reachable(rel, deg("a"), g) is None
 
 
+    def test_feasible_exactly_under_hall_condition(self):
+        feasible = infeasible = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            rel = mixed_relation(rng)
+            alts = sorted(rel.universe)
+            f = random_grid_lottery(rng, alts, 12)
+            g = random_grid_lottery(rng, alts, 12)
+            plan = shift_reachable(rel, f, g)
+            assert (plan is not None) == hall_condition(rel, f, g), seed
+            if plan is None:
+                infeasible += 1
+            else:
+                feasible += 1
+                assert_valid_plan(rel, plan, f, g)
+        assert feasible >= 100 and infeasible >= 100
+
+
 class TestCompare:
     def test_identity(self, chain_ab):
         f = make_lottery([("a", F(1, 2)), ("b", F(1, 2))])
@@ -158,14 +224,7 @@ class TestCompare:
         assert v_gf.members == {k.mirror() for k in v_fg.members}
         plan = shift_reachable(rel, f, g)
         if plan is not None:
-            # transport correctness: marginals and strict off-diagonal moves
-            assert plan.row_sums() == dict(f.items())
-            assert plan.col_sums() == dict(g.items())
-            for (src, dst), mass in plan.moves:
-                assert mass > 0
-                if src != dst:
-                    assert rel.classify(src, dst) is L
-            assert any(src != dst for (src, dst), _ in plan.moves)
+            assert_valid_plan(rel, plan, f, g)
             assert v_fg.members == {L}
         if dominates(rel, f, g):
             assert G not in v_fg.members and I not in v_fg.members

@@ -117,13 +117,13 @@ class TestGridRoundTrip:
         for f, g in itertools.permutations(lots, 2):
             for alpha in alphas:
                 h = convex_combine(alpha, f, g)
-                assert sum((w for _, w in h.items()), F(0)) == 1
+                assert sum((w for _, w in h.entries), F(0)) == 1
                 assert decompose(h, f, g) == alpha
 
     def test_all_grid_lotteries_sum_to_one(self):
         for lot in grid_lotteries(["a", "b", "c"], 6):
-            assert sum((w for _, w in lot.items()), F(0)) == 1
-            assert all(w > 0 and w.denominator > 0 for _, w in lot.items())
+            assert sum((w for _, w in lot.entries), F(0)) == 1
+            assert all(w > 0 and w.denominator > 0 for _, w in lot.entries)
 
 
 class TestMixtureTable:

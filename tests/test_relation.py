@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partialpref.errors import MalformedId, StrictViolation, UnknownAlternative
+from partialpref.lottery import Lottery
 from partialpref.relation import (
     BaseRelation,
     FactKind,
@@ -59,6 +60,14 @@ class TestBuild:
         with pytest.raises(MalformedId):
             build_base_relation([], extra_universe={""})
         assert check_id("über_x-1") == "über_x-1"
+
+    def test_trailing_newline_rejected(self):
+        with pytest.raises(MalformedId):
+            check_id("a\n")
+        with pytest.raises(MalformedId):
+            Lottery.degenerate("b\n")
+        with pytest.raises(MalformedId):
+            PrefFact(FactKind.WEAK, "a\n", "b")
 
 
 class TestClassify:
