@@ -9,6 +9,7 @@ violations.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .errors import PrefError, StrictViolation, TableMismatch
 from .relation import render_symbols
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partialpref",
@@ -72,8 +74,9 @@ def _cmd_validate(args, out, err) -> int:
     except StrictViolation as exc:
         print(str(exc), file=err)
         return 2
+    closure = sum(len(above) for above in rel.up.values())
     print(
-        f"universe: {len(rel.universe)} alternatives; closure: {len(rel.weak)} weak pairs",
+        f"universe: {len(rel.universe)} alternatives; closure: {closure} weak pairs",
         file=out,
     )
     return 0

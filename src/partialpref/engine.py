@@ -171,6 +171,11 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
         for j, b in enumerate(sinks)
         if rel.classify(alts[a], alts[b]) is RelKind.LESS
     ]
+    # the excess equals the deficit, so all of it must move: a source with
+    # no strict edge out, or a sink with none in, leaves f < g unwitnessed
+    if (len({i for i, _ in edges}) < len(sources)
+            or len({j for _, j in edges}) < len(sinks)):
+        return None
     excess = [vf[a] - vg[a] for a in sources]
     value, flow = _max_flow(excess, [vg[b] - vf[b] for b in sinks], edges)
     if value != sum(excess):

@@ -9,8 +9,9 @@ into one of the four judgment symbols.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import MalformedId, StrictViolation, UnknownAlternative
 
@@ -66,17 +67,13 @@ def render_symbols(kinds, sep: str = " ") -> str:
     return sep.join(k.symbol for k in sorted(kinds, key=KIND_INDEX.__getitem__))
 
 
+# the kind of (a, b), indexed by [a <= b][b <= a]
+_KIND = ((RelKind.INCOMP, RelKind.GREATER), (RelKind.LESS, RelKind.EQUIV))
+
+
 def classify_pair(weak, a, b) -> RelKind:
     """Four-way classification of (a, b) under a set of weak pairs."""
-    ab = (a, b) in weak
-    ba = (b, a) in weak
-    if ab and ba:
-        return RelKind.EQUIV
-    if ab:
-        return RelKind.LESS
-    if ba:
-        return RelKind.GREATER
-    return RelKind.INCOMP
+    return _KIND[(a, b) in weak][(b, a) in weak]
 
 
 class FactKind(Enum):
@@ -107,40 +104,85 @@ class PrefFact:
 class BaseRelation:
     """Reflexive-transitive closure of declared facts over a universe.
 
-    ``weak`` stores the closed relation <= as ordered pairs.
+    ``up[a]`` is the set of alternatives b with a <= b, a itself included;
+    the members of one equivalence class share one frozenset.
     """
 
     universe: frozenset[str]
-    weak: frozenset[tuple[str, str]]
+    up: dict[str, frozenset[str]] = field(hash=False)
+
+    @cached_property
+    def weak(self) -> frozenset[tuple[str, str]]:
+        """The closed relation <= as ordered pairs, built on first use."""
+        return frozenset((a, b) for a, bs in self.up.items() for b in bs)
 
     def _require(self, ident: str) -> None:
-        if ident not in self.universe:
+        if ident not in self.up:
             raise UnknownAlternative(ident)
+
+    def _up_sets(self, a: str, b: str):
+        try:
+            return self.up[a], self.up[b]
+        except KeyError as exc:
+            raise UnknownAlternative(exc.args[0]) from None
 
     def holds(self, a: str, b: str) -> bool:
         """True iff a <= b is in the closed relation."""
-        self._require(a)
-        self._require(b)
-        return (a, b) in self.weak
+        return b in self._up_sets(a, b)[0]
 
     def classify(self, a: str, b: str) -> RelKind:
         """Four-way classification of the ordered pair (a, b)."""
-        self._require(a)
-        self._require(b)
-        return classify_pair(self.weak, a, b)
+        up_a, up_b = self._up_sets(a, b)
+        return _KIND[b in up_a][a in up_b]
 
 
-def _close(universe: set[str], pairs: set[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    # Warshall-style closure over successor sets; inputs are small.
-    succ: dict[str, set[str]] = {a: {a} for a in universe}
-    for a, b in pairs:
-        succ[a].add(b)
-    for k in universe:
-        reach_k = succ[k]
-        for a in universe:
-            if k in succ[a]:
-                succ[a] |= reach_k
-    return frozenset((a, b) for a, bs in succ.items() for b in bs)
+def _close(succ: dict[str, set[str]]) -> dict[str, frozenset[str]]:
+    """Up-sets of the reflexive-transitive closure of the edges ``succ``.
+
+    An iterative Tarjan pass: strongly connected components complete in
+    reverse topological order, so a component's up-set is its members plus
+    the up-sets of the components its edges reach, all completed before it.
+    """
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    up: dict[str, frozenset[str]] = {}
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in up:  # w is on the stack, in v's component
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = [stack.pop()]
+                    while members[-1] != v:
+                        members.append(stack.pop())
+                    reach = set(members)
+                    for w in members:
+                        for x in succ[w]:
+                            # an alternative already in reach brings nothing:
+                            # it is a member or lies in an up-set taken whole
+                            if x not in reach:
+                                reach |= up[x]
+                    closed = frozenset(reach)
+                    for w in members:
+                        up[w] = closed
+    return up
 
 
 def build_base_relation(facts, extra_universe=None) -> BaseRelation:
@@ -151,22 +193,20 @@ def build_base_relation(facts, extra_universe=None) -> BaseRelation:
     alternatives).  Raises :class:`StrictViolation` if the closure ends up
     containing the reverse of a declared strict fact.
     """
-    universe: set[str] = set()
-    pairs: set[tuple[str, str]] = set()
+    succ: dict[str, set[str]] = {}
     stricts: list[tuple[str, str]] = []
     for fact in facts:
-        universe.add(fact.left)
-        universe.add(fact.right)
-        pairs.add((fact.left, fact.right))
+        succ.setdefault(fact.left, set()).add(fact.right)
+        succ.setdefault(fact.right, set())
         if fact.kind is FactKind.EQUIV:
-            pairs.add((fact.right, fact.left))
+            succ[fact.right].add(fact.left)
         elif fact.kind is FactKind.STRICT:
             stricts.append((fact.left, fact.right))
     if extra_universe:
         for ident in extra_universe:
-            universe.add(check_id(ident))
-    closed = _close(universe, pairs)
+            succ.setdefault(check_id(ident), set())
+    up = _close(succ)
     for a, b in stricts:
-        if (b, a) in closed:
+        if a in up[b]:
             raise StrictViolation(a, b)
-    return BaseRelation(universe=frozenset(universe), weak=closed)
+    return BaseRelation(universe=frozenset(up), up=up)

@@ -16,17 +16,21 @@ def alt_names(n: int) -> list[str]:
     return [f"a{i}" for i in range(n)]
 
 
-def random_relation(rng: random.Random, n: int) -> BaseRelation:
-    """A random partial preorder on n alternatives (weak facts only)."""
-    alts = alt_names(n)
+def random_facts(rng: random.Random, n: int) -> list[PrefFact]:
+    """Random weak and equivalence facts on n alternatives."""
     facts = []
-    for a, b in itertools.permutations(alts, 2):
+    for a, b in itertools.permutations(alt_names(n), 2):
         r = rng.random()
         if r < 0.18:
             facts.append(PrefFact(FactKind.WEAK, a, b))
         elif r < 0.22:
             facts.append(PrefFact(FactKind.EQUIV, a, b))
-    return build_base_relation(facts, extra_universe=set(alts))
+    return facts
+
+
+def random_relation(rng: random.Random, n: int) -> BaseRelation:
+    """A random partial preorder on n alternatives (weak facts only)."""
+    return build_base_relation(random_facts(rng, n), extra_universe=set(alt_names(n)))
 
 
 def all_relations(n: int) -> list[BaseRelation]:
@@ -43,7 +47,8 @@ def all_relations(n: int) -> list[BaseRelation]:
             (a, c) not in weak for (a, b) in weak for (b2, c) in weak if b == b2
         ):
             continue
-        out.append(BaseRelation(universe=frozenset(alts), weak=frozenset(weak)))
+        up = {a: frozenset(b for x, b in weak if x == a) for a in alts}
+        out.append(BaseRelation(universe=frozenset(alts), up=up))
     return out
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from partialpref.casetable import bundled_table_text
 from partialpref.cli import run
 
 DATA = Path(__file__).parent / "data"
+BOB = (str(DATA / "bob.prefs"), str(DATA / "bob.lotteries"))
 
 
 def invoke(*argv):
@@ -224,3 +226,41 @@ class TestUsage:
 
     def test_unknown_subcommand(self):
         assert invoke("frobnicate")[0] == 1
+
+    def test_parser_reuse_matches_fresh_processes(self):
+        # one process serves several requests; no parser state may leak
+        # from one call into the next
+        requests = [
+            ["compare"],
+            ["validate", BOB[0]],
+            ["--format", "tsv", "compare", *BOB, "mary_one_to_one", "mary_three"],
+            ["compare", *BOB, "carl_five", "carl_one_to_one"],
+        ]
+        codes = []
+        for argv in requests:
+            code, out, _ = invoke(*argv)
+            fresh = main_under_hash_seed("0", *argv)
+            assert (code, out) == (fresh.returncode, fresh.stdout.decode()), argv
+            codes.append(code)
+        assert codes == [1, 0, 0, 0]
+
+
+class TestGolden:
+    def test_outputs_match_recorded(self, monkeypatch):
+        """stdout and exit codes equal those recorded in ``golden/cli.json``.
+
+        The record covers ``validate``, ``filter`` and ``compare`` (text,
+        TSV and verbose) on ``bob.*`` and on ``golden/layered.*``: a seeded
+        preorder of ten layers of 18 alternatives with skip edges, ``~``
+        twins, one weak cycle and isolated ``alt`` declarations (200
+        alternatives), and 18 lotteries over it.
+        """
+        monkeypatch.chdir(DATA)
+        cases = json.loads((DATA / "golden" / "cli.json").read_text("utf-8"))
+        assert len(cases) == 47
+        wrong = [
+            case["argv"]
+            for case in cases
+            if invoke(*case["argv"])[:2] != (case["code"], case["stdout"])
+        ]
+        assert wrong == []

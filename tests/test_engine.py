@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from partialpref import engine
 from partialpref.engine import (
     compare,
     cross_profile,
@@ -160,6 +161,23 @@ class TestShiftReachable:
         rel = build_base_relation([strict("a", "b")], extra_universe={"c"})
         g = make_lottery([("b", F(1, 2)), ("c", F(1, 2))])
         assert shift_reachable(rel, deg("a"), g) is None
+
+    def test_unmatched_source_or_sink_skips_max_flow(self, monkeypatch):
+        def no_flow(excess, deficit, edges):
+            raise AssertionError("max-flow called")
+
+        monkeypatch.setattr(engine, "_max_flow", no_flow)
+        rel = build_base_relation([strict("a", "b")], extra_universe={"c"})
+        half = F(1, 2)
+        # source c has no strictly better sink
+        f = make_lottery([("a", half), ("c", half)])
+        assert shift_reachable(rel, f, deg("b")) is None
+        # sink c has no strictly worse source
+        g = make_lottery([("b", half), ("c", half)])
+        assert shift_reachable(rel, deg("a"), g) is None
+        # an instance with every source and sink matched still runs max-flow
+        with pytest.raises(AssertionError, match="max-flow called"):
+            shift_reachable(rel, deg("a"), deg("b"))
 
 
     def test_feasible_exactly_under_hall_condition(self):

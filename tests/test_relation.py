@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,10 @@ from partialpref.relation import (
     RelKind,
     build_base_relation,
     check_id,
+    classify_pair,
 )
 
-from conftest import random_relation
+from conftest import alt_names, random_facts, random_relation
 
 
 def strict(a, b):
@@ -114,3 +117,91 @@ class TestProperties:
         rel = build_base_relation([], extra_universe=universe)
         for a in universe:
             assert rel.holds(a, a)
+
+
+def oracle_closure(universe, facts):
+    """Floyd-Warshall over pairs: the reflexive-transitive closure of facts."""
+    alts = sorted(universe)
+    le = {(a, a) for a in alts}
+    for fact in facts:
+        le.add((fact.left, fact.right))
+        if fact.kind is FactKind.EQUIV:
+            le.add((fact.right, fact.left))
+    for k in alts:
+        for i in alts:
+            if (i, k) in le:
+                le.update((i, j) for j in alts if (k, j) in le)
+    return le
+
+
+def assert_matches_oracle(rel, facts):
+    closure = oracle_closure(rel.universe, facts)
+    assert rel.weak == closure
+    assert sum(len(above) for above in rel.up.values()) == len(rel.weak)
+    for a, b in itertools.product(sorted(rel.universe), repeat=2):
+        kind = rel.classify(a, b)
+        assert kind is classify_pair(closure, a, b), (a, b)
+        if kind is RelKind.EQUIV:
+            assert rel.up[a] is rel.up[b]
+
+
+def mixed_facts(rng, n):
+    """Facts of every kind: weak cycles, ~ chains, self-loops and stricts."""
+    alts = alt_names(n)
+    kinds = list(FactKind)
+    facts = [
+        PrefFact(rng.choice(kinds), rng.choice(alts), rng.choice(alts))
+        for _ in range(rng.randrange(2 * n))
+    ]
+    cycle = rng.sample(alts, 3)
+    facts += [weak(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    chain = rng.sample(alts, 3)
+    facts += [equiv(a, b) for a, b in zip(chain, chain[1:])]
+    rng.shuffle(facts)
+    return facts
+
+
+class TestClosureOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_relation(self, seed):
+        facts = random_facts(random.Random(seed), 9)
+        assert_matches_oracle(random_relation(random.Random(seed), 9), facts)
+
+    def test_mixed_facts_and_strict_violations(self):
+        violations = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randrange(3, 10)
+            facts = mixed_facts(rng, n)
+            isolated = {f"z{i}" for i in range(rng.randrange(3))}
+            universe = {x for fact in facts for x in (fact.left, fact.right)} | isolated
+            closure = oracle_closure(universe, facts)
+            broken = [
+                (f.left, f.right)
+                for f in facts
+                if f.kind is FactKind.STRICT and (f.right, f.left) in closure
+            ]
+            if broken:
+                violations += 1
+                with pytest.raises(StrictViolation) as exc:
+                    build_base_relation(facts, extra_universe=isolated)
+                assert (exc.value.left, exc.value.right) == broken[0], seed
+            else:
+                rel = build_base_relation(facts, extra_universe=isolated)
+                assert rel.universe == universe
+                assert_matches_oracle(rel, facts)
+        assert 50 <= violations <= 250
+
+    @pytest.mark.parametrize("order", ["reverse", "forward"])
+    def test_long_strict_chain(self, order):
+        alts = alt_names(1500)
+        facts = [strict(a, b) for a, b in zip(alts, alts[1:])]
+        if order == "reverse":
+            facts.reverse()
+        start = time.perf_counter()
+        rel = build_base_relation(facts)
+        elapsed = time.perf_counter() - start
+        assert rel.classify(alts[0], alts[-1]) is RelKind.LESS
+        assert rel.classify(alts[-1], alts[0]) is RelKind.GREATER
+        assert len(rel.up[alts[0]]) == 1500
+        assert elapsed < 2.0
