@@ -20,7 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .engine import AdmissibleSet
+from .engine import REFUTES, AdmissibleSet, mixing_consequences
 from .errors import (
     DslSyntaxError,
     ForeignLottery,
@@ -104,6 +104,11 @@ def consistent_tuples() -> tuple[CaseTuple, ...]:
     return tuple(sorted(found, key=_sort_key))
 
 
+@lru_cache(maxsize=None)
+def _realizable() -> frozenset[CaseTuple]:
+    return frozenset(consistent_tuples())
+
+
 def admissible_outcomes(t: CaseTuple) -> AdmissibleSet:
     """Judgments between the two mixtures not refuted by the rules.
 
@@ -112,34 +117,24 @@ def admissible_outcomes(t: CaseTuple) -> AdmissibleSet:
     no-strict-draw persistence rule.
     """
     t = CaseTuple(*t)
-    if t not in set(consistent_tuples()):
+    if t not in _realizable():
         raise InconsistentTuple(t.symbols())
-    E, L, G, I = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP
-    members = {E, L, G, I}
-    provenance = []
+    E, L, G = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER
     d11, d22 = t.d11, t.d22
-    # one positional draw strict, the other weak in the same direction
-    if (d11 is L and d22 in (E, L)) or (d22 is L and d11 in (E, L)):
-        members &= {L}
-        provenance.append("A5: a strict < draw mixed with a weak <= draw forces f < g")
-    if (d11 is G and d22 in (E, G)) or (d22 is G and d11 in (E, G)):
-        members &= {G}
-        provenance.append("A5': a strict > draw mixed with a weak >= draw forces f > g")
-    # both positional draws weakly aligned
-    if d11 in (E, L) and d22 in (E, L):
-        members -= {G, I}
-        provenance.append("A4: both positional draws are <=, so f <= g")
-    if d11 in (E, G) and d22 in (E, G):
-        members -= {L, I}
-        provenance.append("A4': both positional draws are >=, so g <= f")
-    # persistence of incomparability: no strict draw in either direction
-    if L not in t:
-        members -= {L}
-        provenance.append("A6: no draw is <, so f < g is impossible")
-    if G not in t:
-        members -= {G}
-        provenance.append("A6': no draw is >, so f > g is impossible")
-    return AdmissibleSet(frozenset(members), tuple(provenance))
+    # both positional draws weakly aligned (A4), one of them strictly (A5)
+    le = d11 in (E, L) and d22 in (E, L)
+    ge = d11 in (E, G) and d22 in (E, G)
+    return AdmissibleSet.refute((
+        (le and L in (d11, d22)
+         and "A5: a strict < draw mixed with a weak <= draw forces f < g", REFUTES["<"]),
+        (ge and G in (d11, d22)
+         and "A5': a strict > draw mixed with a weak >= draw forces f > g", REFUTES[">"]),
+        (le and "A4: both positional draws are <=, so f <= g", REFUTES["<="]),
+        (ge and "A4': both positional draws are >=, so g <= f", REFUTES[">="]),
+        # persistence of incomparability: no strict draw in either direction
+        (L not in t and "A6: no draw is <, so f < g is impossible", REFUTES["!<"]),
+        (G not in t and "A6': no draw is >, so f > g is impossible", REFUTES["!>"]),
+    ))
 
 
 def regenerate_table() -> list[tuple[CaseTuple, AdmissibleSet]]:
@@ -244,59 +239,33 @@ def check_axioms(model: FiniteModel, rel=None) -> list[AxiomViolation]:
     del rel
     fam = list(dict.fromkeys(model.family))
     index = {h: i for i, h in enumerate(fam)}
-    weak = set()
-    for x, y in model.weak:
-        i, j = index.get(x), index.get(y)
-        if i is None:
-            raise ForeignLottery(x)
-        if j is None:
-            raise ForeignLottery(y)
-        weak.add((i, j))
-    pairs = sorted(weak)
+    weak = {(index.get(x), index.get(y)) for x, y in model.weak}  # one hash per lottery
+    if any(None in pair for pair in weak):
+        raise ForeignLottery(next(h for pair in model.weak for h in pair if h not in index))
     strict = {(x, y) for x, y in weak if (y, x) not in weak}
     table = mixture_table(fam)
-    violations: list[AxiomViolation] = []
+    mixes = list(mixture_instances(table, len(fam)))
 
-    # reflexivity
-    for h in range(len(fam)):
-        if (h, h) not in weak:
-            violations.append(AxiomViolation("A1'", (fam[h],)))
-
-    # transitivity
+    found = [("A1'", (h,)) for h in range(len(fam)) if (h, h) not in weak]
     above = [[] for _ in fam]
-    for x, y in pairs:
+    for x, y in weak:
         above[x].append(y)
-    for x, y in pairs:
-        for z in above[y]:
-            if (x, z) not in weak:
-                violations.append(AxiomViolation("A2", (fam[x], fam[y], fam[z])))
-
-    # mixing a strict pair with itself: more weight on the worse side is worse
-    for f, g in sorted(strict):
-        row = table[f, g]
-        for h_beta, beta in row:
-            for h_alpha, alpha in row:
-                if beta > alpha and (h_beta, h_alpha) not in strict:
-                    violations.append(AxiomViolation(
-                        "A3", (fam[f], fam[g], alpha, beta, fam[h_beta], fam[h_alpha])
-                    ))
-
-    # A4 mixes two weak facts at a shared coefficient, A5 a strict with a
-    # weak one; A6 (persistence) asks a strict mixture pair for a strict draw
-    a4, a5, a6 = [], [], []
-    for hf, hg, a, (f1, f2), (g1, g2) in mixture_instances(table, len(fam)):
-        if (f1, g1) in weak and (f2, g2) in weak:
-            if (hf, hg) not in weak:
-                a4.append((f1, g1, f2, g2, hf, hg, a))
-            if (f1, g1) in strict and (hf, hg) not in strict:
-                a5.append((f1, g1, f2, g2, hf, hg, a))
-        if (hf, hg) in strict and not any(
-            (fj, gk) in strict for fj in (f1, f2) for gk in (g1, g2)
-        ):
-            a6.append((f1, f2, g1, g2, hf, hg, a))
-    for axiom, found in (("A4", a4), ("A5", a5), ("A6", a6)):
-        for w1, w2, w3, w4, hf, hg, a in sorted(found):
-            violations.append(AxiomViolation(
-                axiom, (fam[w1], fam[w2], fam[w3], fam[w4], a, fam[hf], fam[hg])
-            ))
-    return violations
+    found += [("A2", (x, y, z)) for x, y in weak for z in above[y] if (x, z) not in weak]
+    found += [
+        (axiom, witnesses)
+        for axiom, pair, witnesses in mixing_consequences(table, mixes, weak, strict)
+        if pair not in (weak if axiom == "A4" else strict)
+    ]
+    # persistence: a strict mixture pair asks for a strict draw
+    found += [
+        ("A6", (f1, f2, g1, g2, a, hf, hg))
+        for hf, hg, a, (f1, f2), (g1, g2) in mixes
+        if (hf, hg) in strict
+        and not any((fj, gk) in strict for fj in (f1, f2) for gk in (g1, g2))
+    ]
+    # "A1'" < "A2" < ... < "A6" as strings; alphas are not positions
+    found.sort(key=lambda v: (v[0], [w for w in v[1] if type(w) is int]))
+    return [
+        AxiomViolation(axiom, tuple(fam[w] if type(w) is int else w for w in witnesses))
+        for axiom, witnesses in found
+    ]

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import casetable, dsl, engine
-from .errors import PrefError, StrictViolation, TableMismatch
+from .errors import NotUtf8, PrefError, StrictViolation, TableMismatch
 from .relation import render_symbols
 
 
@@ -59,12 +59,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: Path) -> str:
+    """The file as UTF-8; a byte that does not decode is placed by line and
+    byte column."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise NotUtf8(path, line, exc.start - data.rfind(b"\n", 0, exc.start)) from None
+
+
 def _load_relation(path: Path):
-    return dsl.relation_from_document(dsl.parse_prefs(path.read_text("utf-8")))
+    return dsl.relation_from_document(dsl.parse_prefs(_read_text(path)))
 
 
 def _load_lotteries(path: Path, normalize: bool):
-    doc = dsl.parse_lotteries(path.read_text("utf-8"))
+    doc = dsl.parse_lotteries(_read_text(path))
     return dsl.lotteries_from_document(doc, normalize=normalize)
 
 
@@ -110,7 +121,7 @@ def _cmd_filter(args, out, err) -> int:
 def _cmd_table(args, out, err) -> int:
     if args.verify is not None:
         try:
-            casetable.verify_table(args.verify.read_text("utf-8"))
+            casetable.verify_table(_read_text(args.verify))
         except TableMismatch as exc:
             for case, expected, computed in exc.diffs:
                 exp = render_symbols(expected) if expected else "(missing)"
@@ -125,7 +136,7 @@ def _cmd_table(args, out, err) -> int:
 
 def _cmd_check(args, out, err) -> int:
     rel = _load_relation(args.prefs)
-    doc, pairs = dsl.parse_model(args.model.read_text("utf-8"))
+    doc, pairs = dsl.parse_model(_read_text(args.model))
     lots = dsl.lotteries_from_document(doc, normalize=args.normalize)
     weak = set()
     for left, right in pairs:

@@ -9,6 +9,7 @@ comment anywhere in a line.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -100,12 +101,14 @@ def parse_prefs(text: str) -> PrefDocument:
 def _parse_rational(token: str, lineno: int, col: int) -> Fraction:
     if not _RATIONAL_RE.fullmatch(token):
         raise DslSyntaxError(lineno, col, "exact rational p/q or integer (floats are rejected)")
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise DslSyntaxError(lineno, col, "nonzero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+    try:
+        num, den = map(int, token.split("/")) if "/" in token else (int(token), 1)
+    except ValueError:  # more digits than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        raise DslSyntaxError(lineno, col, f"at most {limit} digits per integer") from None
+    if den == 0:
+        raise DslSyntaxError(lineno, col, "nonzero denominator")
+    return Fraction(num, den)
 
 
 def parse_lotteries(text: str) -> LotteryDocument:

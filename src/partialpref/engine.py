@@ -41,7 +41,16 @@ __all__ = [
 
 ZERO = Fraction(0)
 
-FULL_SET = frozenset(RelKind)
+# the judgments each conclusion about (f, g) refutes, shared with the case
+# table; "!<" and "!>" conclude that f < g, or f > g, is impossible
+REFUTES = {
+    "<=": frozenset({RelKind.GREATER, RelKind.INCOMP}),
+    ">=": frozenset({RelKind.LESS, RelKind.INCOMP}),
+    "<": frozenset({RelKind.EQUIV, RelKind.GREATER, RelKind.INCOMP}),
+    ">": frozenset({RelKind.EQUIV, RelKind.LESS, RelKind.INCOMP}),
+    "!<": frozenset({RelKind.LESS}),
+    "!>": frozenset({RelKind.GREATER}),
+}
 
 
 @dataclass(frozen=True)
@@ -55,11 +64,17 @@ class AdmissibleSet:
         if not self.members:
             raise ValueError("admissible set must be nonempty")
 
-    def mirror(self) -> "AdmissibleSet":
-        return AdmissibleSet(
-            members=frozenset(k.mirror() for k in self.members),
-            provenance=self.provenance,
-        )
+    @classmethod
+    def refute(cls, rules) -> "AdmissibleSet":
+        """Fold ``(note, refuted kinds)`` rows; a row fires when its note is a
+        nonempty string, removing its kinds and adding its note."""
+        members = frozenset(RelKind)
+        provenance = []
+        for note, refuted in rules:
+            if note:
+                members -= refuted
+                provenance.append(note)
+        return cls(members, tuple(provenance))
 
 
 @dataclass(frozen=True)
@@ -195,46 +210,54 @@ def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
     """Judgments between f and g not refuted by rules R1-R5."""
     if f == g:
         return AdmissibleSet(frozenset({RelKind.EQUIV}), ("identity: f = g",))
-    profile = cross_profile(rel, f, g)
-    members = set(RelKind)
-    provenance = []
+    kinds = set(cross_profile(rel, f, g).values())
+    fg, gf = shift_reachable(rel, f, g), shift_reachable(rel, g, f)
+    le, ge = REFUTES["<="], REFUTES[">="]
+    return AdmissibleSet.refute((
+        (kinds.isdisjoint(le) and "R1 dominance f <= g: every support pair is < or ~", le),
+        (kinds.isdisjoint(ge) and "R2 dominance g <= f: every support pair is > or ~", ge),
+        (fg and f"R3 shift f => g with plan {fg.move_dict()}", REFUTES["<"]),
+        (gf and f"R3' shift g => f with plan {gf.move_dict()}", REFUTES[">"]),
+        (RelKind.LESS not in kinds
+         and "R4 no support pair is <, so f < g is impossible", REFUTES["!<"]),
+        (RelKind.GREATER not in kinds
+         and "R5 no support pair is >, so f > g is impossible", REFUTES["!>"]),
+    ))
 
-    kinds = set(profile.values())
-    dom_fg = kinds <= {RelKind.LESS, RelKind.EQUIV}
-    dom_gf = kinds <= {RelKind.GREATER, RelKind.EQUIV}
-    if dom_fg:
-        members -= {RelKind.GREATER, RelKind.INCOMP}
-        provenance.append("R1 dominance f <= g: every support pair is < or ~")
-    if dom_gf:
-        members -= {RelKind.LESS, RelKind.INCOMP}
-        provenance.append("R2 dominance g <= f: every support pair is > or ~")
-    plan_fg = shift_reachable(rel, f, g)
-    if plan_fg is not None:
-        members -= {RelKind.EQUIV, RelKind.GREATER, RelKind.INCOMP}
-        provenance.append(f"R3 shift f => g with plan {plan_fg.move_dict()}")
-    plan_gf = shift_reachable(rel, g, f)
-    if plan_gf is not None:
-        members -= {RelKind.EQUIV, RelKind.LESS, RelKind.INCOMP}
-        provenance.append(f"R3' shift g => f with plan {plan_gf.move_dict()}")
-    if RelKind.LESS not in kinds:
-        members -= {RelKind.LESS}
-        provenance.append("R4 no support pair is <, so f < g is impossible")
-    if RelKind.GREATER not in kinds:
-        members -= {RelKind.GREATER}
-        provenance.append("R5 no support pair is >, so f > g is impossible")
 
-    if not members:  # pragma: no cover - rules are mutually consistent
-        raise AssertionError("elimination rules refuted every judgment")
-    return AdmissibleSet(frozenset(members), tuple(provenance))
+def mixing_consequences(table, mixes, weak, strict):
+    """Every A3, A4 and A5 instance over index pairs whose premises hold.
+
+    Yields ``(axiom, (h1, h2), witnesses)``: A4 concludes h1 <= h2, A3 and
+    A5 conclude h1 < h2.  ``witnesses`` is the tuple ``check`` prints:
+    ``(f, g, alpha, beta, h1, h2)`` for A3 (f < g mixed at beta > alpha),
+    ``(f1, g1, f2, g2, alpha, h1, h2)`` for A4 and A5 (h1 mixes f1 with f2,
+    h2 mixes g1 with g2, as in ``mixes``).  A3 walks a sorted copy of
+    ``strict``, so a caller may add conclusions while iterating.
+    """
+    # mixing a strict pair with itself: more weight on the worse side is worse
+    for f, g in sorted(strict):
+        row = table[f, g]
+        for h1, beta in row:
+            for h2, alpha in row:
+                if beta > alpha:
+                    yield "A3", (h1, h2), (f, g, alpha, beta, h1, h2)
+    # mixing two weak facts / a strict with a weak fact at a shared alpha
+    for h1, h2, alpha, (f1, f2), (g1, g2) in mixes:
+        if (f1, g1) in weak and (f2, g2) in weak:
+            witnesses = (f1, g1, f2, g2, alpha, h1, h2)
+            yield "A4", (h1, h2), witnesses
+            if (f1, g1) in strict:
+                yield "A5", (h1, h2), witnesses
 
 
 @dataclass(frozen=True)
 class Derivation:
-    """How a saturated fact was obtained: rule id plus its witnesses."""
+    """How a saturated fact was obtained: rule id plus its witnesses; for
+    A3-A5 the witnesses of the matching ``check`` violation."""
 
     rule: str
     premises: tuple
-    alpha: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -272,29 +295,23 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
     strict: set[tuple[int, int]] = set()
     prov: dict = {}
 
-    def add_weak(pair, rule, premises, alpha=None):
-        if pair in weak:
+    def add(pair, rule, premises, is_strict=False):
+        if pair in (strict if is_strict else weak):
             return False
         weak.add(pair)
-        prov[pair] = (rule, premises, alpha)
-        return True
-
-    def add_strict(pair, rule, premises, alpha=None):
-        if pair in strict:
-            return False
-        strict.add(pair)
-        weak.add(pair)
-        prov[pair] = (rule, premises, alpha)
+        if is_strict:
+            strict.add(pair)
+        prov[pair] = (rule, premises)
         return True
 
     for x in range(len(pool)):
-        add_weak((x, x), "reflexive", (x,))
+        add((x, x), "reflexive", (x,))
     for x, y in permutations(range(len(pool)), 2):
         if dominates(rel, pool[x], pool[y]):
-            add_weak((x, y), "seed-dominance", (x, y))
+            add((x, y), "seed-dominance", (x, y))
         plan = shift_reachable(rel, pool[x], pool[y])
         if plan is not None:
-            add_strict((x, y), "seed-shift", (x, y, plan))
+            add((x, y), "seed-shift", (x, y, plan), True)
 
     table = mixture_table(pool)
     mixes = list(mixture_instances(table, len(pool)))
@@ -309,27 +326,10 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
             for z in above[y]:
                 if x == z:
                     continue
-                premises = ((x, y), (y, z))
-                if (x, y) in strict or (y, z) in strict:
-                    changed |= add_strict((x, z), "A2", premises)
-                else:
-                    changed |= add_weak((x, z), "A2", premises)
-        # mixing a strict pair with itself at two coefficients
-        for f, g in list(strict):
-            row = table[f, g]
-            for h1, c1 in row:
-                for h2, c2 in row:
-                    if c1 > c2:
-                        # h1 weights the worse component more heavily
-                        changed |= add_strict((h1, h2), "A3", ((f, g), h1, c1, h2, c2))
-        # mixing two weak facts / a strict with a weak fact at a shared alpha
-        for hf, hg, a, (f1, f2), (g1, g2) in mixes:
-            if (f1, g1) in weak and (f2, g2) in weak:
-                premises = ((f1, g1), (f2, g2), hf, hg)
-                if (f1, g1) in strict:
-                    changed |= add_strict((hf, hg), "A5", premises, a)
-                else:
-                    changed |= add_weak((hf, hg), "A4", premises, a)
+                is_strict = (x, y) in strict or (y, z) in strict
+                changed |= add((x, z), "A2", ((x, y), (y, z)), is_strict)
+        for axiom, pair, witnesses in mixing_consequences(table, mixes, weak, strict):
+            changed |= add(pair, axiom, witnesses, axiom != "A4")
 
     def lift(premise):
         if isinstance(premise, tuple):
@@ -344,8 +344,8 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
         weak=facts(weak),
         strict=facts(strict),
         provenance={
-            (pool[x], pool[y]): Derivation(rule, lift(premises), alpha)
-            for (x, y), (rule, premises, alpha) in prov.items()
+            (pool[x], pool[y]): Derivation(rule, lift(premises))
+            for (x, y), (rule, premises) in prov.items()
         },
     )
 

@@ -94,6 +94,14 @@ class TableMismatch(PrefError):
         self.diffs = diffs
 
 
+class NotUtf8(PrefError):
+    def __init__(self, path, line, column):
+        super().__init__(f"{path}: line {line}, column {column}: expected UTF-8 text")
+        self.path = path
+        self.line = line
+        self.column = column
+
+
 class DslSyntaxError(PrefError):
     """Syntax error in one of the line-oriented input grammars."""
 

@@ -209,6 +209,22 @@ class TestCheck:
         assert code == 1
 
 
+class TestNotUtf8:
+    @pytest.mark.parametrize("role", ["prefs", "lotteries", "model", "transcription"])
+    def test_undecodable_file_exits_1(self, chain, lots, tmp_path, role):
+        bad = tmp_path / f"bad.{role}"
+        bad.write_bytes(b"# fine\nf : a\xff\xfe@1\n")
+        argv = {
+            "prefs": ["validate", str(bad)],
+            "lotteries": ["compare", str(chain), str(bad), "f", "g"],
+            "model": ["check", str(chain), str(bad)],
+            "transcription": ["table", "--verify", str(bad)],
+        }[role]
+        code, out, err = invoke(*argv)
+        assert (code, out) == (1, "")
+        assert err == f"{bad}: line 2, column 6: expected UTF-8 text\n"
+
+
 class TestSaturate:
     def test_mixture_facts_printed(self, chain, lots):
         code, out, _ = invoke("saturate", str(chain), str(lots))
@@ -253,11 +269,14 @@ class TestGolden:
         TSV and verbose) on ``bob.*`` and on ``golden/layered.*``: a seeded
         preorder of ten layers of 18 alternatives with skip edges, ``~``
         twins, one weak cycle and isolated ``alt`` declarations (200
-        alternatives), and 18 lotteries over it.
+        alternatives), and 18 lotteries over it.  It also covers ``check``
+        on a clean model and on models that report each axiom tag A1' to
+        A6 (``golden/*.model``), and ``saturate`` (text and TSV) on
+        ``golden/mix.*``.
         """
         monkeypatch.chdir(DATA)
         cases = json.loads((DATA / "golden" / "cli.json").read_text("utf-8"))
-        assert len(cases) == 47
+        assert len(cases) == 56
         wrong = [
             case["argv"]
             for case in cases

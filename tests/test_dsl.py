@@ -103,6 +103,17 @@ class TestParseLotteries:
         with pytest.raises(DslSyntaxError):
             parse_lotteries("f a@1")
 
+    @pytest.mark.parametrize(
+        "weight", ["1" * 5000 + "/7", "1/" + "7" * 5000], ids=["numerator", "denominator"]
+    )
+    def test_overlong_weight_is_syntax_error(self, weight):
+        # int() refuses strings past the interpreter's digit limit (4300
+        # by default); that must surface at the token, not as ValueError
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_lotteries(f"g : a@1\nf : b@1/2, a@{weight}")
+        assert (exc.value.line, exc.value.column) == (2, 14)
+        assert "digits" in str(exc.value)
+
 
 class TestParseModel:
     def test_lotteries_and_weak_pairs(self):

@@ -1,10 +1,12 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from partialpref import engine
+from partialpref.casetable import AxiomViolation, FiniteModel, check_axioms
 from partialpref.engine import (
     compare,
     cross_profile,
@@ -318,6 +320,51 @@ class TestSaturate:
             relabelled = saturate(rel, family)
             assert lines(relabelled) == lines(facts)
             assert relabelled.provenance.keys() == facts.provenance.keys()
+
+    def test_mixing_derivations_replay(self):
+        # every A3/A4/A5 fact replays from its premises, and ``check`` names
+        # the same instance, with the same witnesses, once the fact is missing
+        rng = random.Random(43)
+        rules = Counter()
+        for _ in range(200):
+            rel = random_relation(rng, rng.randint(2, 4))
+            alts = sorted(rel.universe)
+            base = [random_grid_lottery(rng, alts, 4) for _ in range(3)]
+            # the degenerates make the family the whole pool, so
+            # ``facts.strict`` shows the strictness of every premise
+            degs = [deg(a) for a in alts]
+            mids = [convex_combine(F(1, 3), x, y) for x, y in zip(base, base[1:])]
+            mids += [convex_combine(F(1, 2), x, y) for x, y in zip(degs, degs[1:])]
+            family = list(dict.fromkeys(base + mids + degs))
+            facts = saturate(rel, family)
+            for (h1, h2), d in facts.provenance.items():
+                if d.rule not in ("A3", "A4", "A5"):
+                    continue
+                rules[d.rule] += 1
+                if d.rule == "A3":
+                    f, g, alpha, beta, w1, w2 = d.premises
+                    assert 0 <= alpha < beta <= 1
+                    assert convex_combine(beta, f, g) == h1
+                    assert convex_combine(alpha, f, g) == h2
+                    assert (f, g) in facts.strict
+                    premises = [(f, g)]
+                else:
+                    f1, g1, f2, g2, alpha, w1, w2 = d.premises
+                    assert 0 < alpha < 1
+                    assert convex_combine(alpha, f1, f2) == h1
+                    assert convex_combine(alpha, g1, g2) == h2
+                    assert {(f1, g1), (f2, g2)} <= facts.provenance.keys()
+                    assert ((f1, g1) in facts.strict) == (d.rule == "A5")
+                    premises = [(f1, g1), (f2, g2)]
+                assert (w1, w2) == (h1, h2)
+                assert ((h1, h2) in facts.strict) == (d.rule != "A4")
+                members = tuple(dict.fromkeys(x for x in d.premises if isinstance(x, Lottery)))
+                model = FiniteModel(
+                    family=members,
+                    weak=frozenset([(x, x) for x in members] + premises),
+                )
+                assert AxiomViolation(d.rule, d.premises) in check_axioms(model)
+        assert min(rules[r] for r in ("A3", "A4", "A5")) >= 20, rules
 
 
 class TestMaximalFilter:
