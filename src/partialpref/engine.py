@@ -20,11 +20,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 from .errors import DuplicateOfferName
-from .lottery import Lottery, mixture_instances, mixture_table, scale
+from .lottery import Lottery, mixture_instances, mixture_table
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
-from .relation import BaseRelation, RelKind
+from .relation import _KIND, BaseRelation, RelKind
 
 __all__ = [
     "AdmissibleSet",
@@ -52,6 +53,18 @@ REFUTES = {
     "!>": frozenset({RelKind.GREATER}),
 }
 
+# a support pair's kind as one bit, laid out like relation._KIND:
+# [a <= b][b <= a] gives INCOMP 1, GREATER 2, LESS 4, EQUIV 8
+_BIT = ((1, 2), (4, 8))
+# the kinds each conclusion refutes, as a mask of those bits
+_MASK = {
+    note: sum(_BIT[i][j] for i, row in enumerate(_KIND) for j, kind in enumerate(row)
+              if kind in refuted)
+    for note, refuted in REFUTES.items()
+}
+_ALL_KINDS = frozenset(RelKind)
+_ONLY_LESS = frozenset({RelKind.LESS})
+
 
 @dataclass(frozen=True)
 class AdmissibleSet:
@@ -68,7 +81,7 @@ class AdmissibleSet:
     def refute(cls, rules) -> "AdmissibleSet":
         """Fold ``(note, refuted kinds)`` rows; a row fires when its note is a
         nonempty string, removing its kinds and adding its note."""
-        members = frozenset(RelKind)
+        members = _ALL_KINDS
         provenance = []
         for note, refuted in rules:
             if note:
@@ -113,10 +126,30 @@ def cross_profile(rel: BaseRelation, f: Lottery, g: Lottery):
     }
 
 
+def _support_kinds(rel: BaseRelation, f: Lottery, g: Lottery) -> int:
+    """The kinds of the pairs in supp(f) x supp(g), as a mask of ``_BIT``.
+
+    An unknown alternative is named as ``cross_profile`` would meet it:
+    f's first alternative, then g's in order, then the rest of f's.
+    """
+    up = rel.up
+    try:
+        ups_f = [(a, up[a]) for a, _ in f.entries]
+        ups_g = [(b, up[b]) for b, _ in g.entries]
+    except KeyError:
+        for a in [f.entries[0][0], *(b for b, _ in g.entries), *(a for a, _ in f.entries)]:
+            rel._require(a)
+        raise
+    kinds = 0
+    for a, up_a in ups_f:
+        for b, up_b in ups_g:
+            kinds |= _BIT[b in up_a][a in up_b]
+    return kinds
+
+
 def dominates(rel: BaseRelation, f: Lottery, g: Lottery) -> bool:
     """True iff every support pair of (f, g) is Less or Equiv, hence f <= g."""
-    profile = cross_profile(rel, f, g)
-    return all(k in (RelKind.LESS, RelKind.EQUIV) for k in profile.values())
+    return not _support_kinds(rel, f, g) & _MASK["<="]
 
 
 def _max_flow(excess: list[int], deficit: list[int], edges):
@@ -173,36 +206,40 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
     shift chains collapse to direct moves.  The pair is decided on integer
     weights over its common denominator.
     """
-    alts, denom, (vf, vg) = scale((f, g))
-    for a in alts:
-        rel._require(a)
-    if f == g:
+    (df, nf), (dg, ng) = f.integer_form, g.integer_form
+    up = rel.up
+    denom = lcm(df, dg)
+    mf, mg = denom // df, denom // dg
+    sources, excess, sinks, deficit = [], [], [], []
+    for a in sorted(nf.keys() | ng.keys()):
+        if a not in up:
+            rel._require(a)
+        d = nf.get(a, 0) * mf - ng.get(a, 0) * mg
+        if d > 0:
+            sources.append(a)
+            excess.append(d)
+        elif d:
+            sinks.append(a)
+            deficit.append(-d)
+    if not sources:  # f == g: both weight vectors sum to denom
         return None
-    sources = [c for c in range(len(alts)) if vf[c] > vg[c]]
-    sinks = [c for c in range(len(alts)) if vf[c] < vg[c]]
-    edges = [
-        (i, j)
-        for i, a in enumerate(sources)
-        for j, b in enumerate(sinks)
-        if rel.classify(alts[a], alts[b]) is RelKind.LESS
-    ]
     # the excess equals the deficit, so all of it must move: a source with
     # no strict edge out, or a sink with none in, leaves f < g unwitnessed
-    if (len({i for i, _ in edges}) < len(sources)
-            or len({j for _, j in edges}) < len(sinks)):
+    edges = []
+    for i, a in enumerate(sources):
+        up_a = up[a]
+        out = [(i, j) for j, b in enumerate(sinks) if b in up_a and a not in up[b]]
+        if not out:
+            return None
+        edges += out
+    if len({j for _, j in edges}) < len(sinks):
         return None
-    excess = [vf[a] - vg[a] for a in sources]
-    value, flow = _max_flow(excess, [vg[b] - vf[b] for b in sinks], edges)
+    value, flow = _max_flow(excess, deficit, edges)
     if value != sum(excess):
         return None
-    moves = {
-        (alts[sources[i]], alts[sinks[j]]): Fraction(mass, denom)
-        for (i, j), mass in flow.items()
-    }
-    for c, a in enumerate(alts):
-        stay = min(vf[c], vg[c])
-        if stay:
-            moves[(a, a)] = Fraction(stay, denom)
+    moves = {(a, a): Fraction(min(x * mf, ng[a] * mg), denom) for a, x in nf.items() if a in ng}
+    for (i, j), mass in flow.items():
+        moves[(sources[i], sinks[j])] = Fraction(mass, denom)
     return TransportPlan(moves=tuple(sorted(moves.items())))
 
 
@@ -210,17 +247,18 @@ def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
     """Judgments between f and g not refuted by rules R1-R5."""
     if f == g:
         return AdmissibleSet(frozenset({RelKind.EQUIV}), ("identity: f = g",))
-    kinds = set(cross_profile(rel, f, g).values())
+    kinds = _support_kinds(rel, f, g)
     fg, gf = shift_reachable(rel, f, g), shift_reachable(rel, g, f)
-    le, ge = REFUTES["<="], REFUTES[">="]
     return AdmissibleSet.refute((
-        (kinds.isdisjoint(le) and "R1 dominance f <= g: every support pair is < or ~", le),
-        (kinds.isdisjoint(ge) and "R2 dominance g <= f: every support pair is > or ~", ge),
+        (not kinds & _MASK["<="]
+         and "R1 dominance f <= g: every support pair is < or ~", REFUTES["<="]),
+        (not kinds & _MASK[">="]
+         and "R2 dominance g <= f: every support pair is > or ~", REFUTES[">="]),
         (fg and f"R3 shift f => g with plan {fg.move_dict()}", REFUTES["<"]),
         (gf and f"R3' shift g => f with plan {gf.move_dict()}", REFUTES[">"]),
-        (RelKind.LESS not in kinds
+        (not kinds & _MASK["!<"]
          and "R4 no support pair is <, so f < g is impossible", REFUTES["!<"]),
-        (RelKind.GREATER not in kinds
+        (not kinds & _MASK["!>"]
          and "R5 no support pair is >, so f > g is impossible", REFUTES["!>"]),
     ))
 
@@ -367,7 +405,7 @@ def maximal_filter(rel: BaseRelation, offers) -> list[tuple[str, Lottery]]:
     for name, lot in named:
         dominated = any(
             other != lot
-            and compare(rel, lot, other).members == {RelKind.LESS}
+            and compare(rel, lot, other).members == _ONLY_LESS
             for _, other in named
         )
         if not dominated:

@@ -7,9 +7,10 @@ by their weight mapping, safe to share.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import gcd, lcm
 
@@ -42,10 +43,31 @@ class Lottery:
 
     ``entries`` is sorted by alternative id; every weight is a strictly
     positive Fraction and the weights sum to exactly 1.  Construct through
-    :func:`make_lottery` or :meth:`degenerate`.
+    :func:`make_lottery` or :meth:`degenerate`.  The hash and the integer
+    form are computed on first use and kept on the instance.
     """
 
     entries: tuple[tuple[str, Fraction], ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.entries,))
+
+    def __getstate__(self):
+        # a string's hash differs between processes, so the cache stays behind
+        return {"entries": self.entries}
+
+    @cached_property
+    def integer_form(self) -> tuple[int, Mapping[str, int]]:
+        """``(denom, numerators)``: the least common denominator of the
+        weights, and each alternative's weight times ``denom``, in
+        alternative order.  Every caller shares the mapping; none may
+        change it."""
+        denom = lcm(*(w.denominator for _, w in self.entries))
+        return denom, {a: w.numerator * (denom // w.denominator) for a, w in self.entries}
 
     @classmethod
     def degenerate(cls, alternative: str) -> "Lottery":
@@ -112,14 +134,15 @@ def scale(lotteries) -> tuple[list[str], int, list[list[int]]]:
     the least common denominator of every weight, and for each lottery the
     vector whose entry c is its weight on ``alts[c]`` times ``denom``.
     """
-    alts = sorted({a for lot in lotteries for a, _ in lot.entries})
+    forms = [lot.integer_form for lot in lotteries]
+    alts = sorted({a for _, nums in forms for a in nums})
     column = {a: c for c, a in enumerate(alts)}
-    denom = lcm(*(w.denominator for lot in lotteries for _, w in lot.entries))
+    denom = lcm(*(d for d, _ in forms))
     vectors = []
-    for lot in lotteries:
+    for d, nums in forms:
         vec = [0] * len(alts)
-        for a, w in lot.entries:
-            vec[column[a]] = w.numerator * (denom // w.denominator)
+        for a, x in nums.items():
+            vec[column[a]] = x * (denom // d)
         vectors.append(vec)
     return alts, denom, vectors
 

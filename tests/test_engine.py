@@ -109,6 +109,61 @@ class TestCrossProfile:
             cross_profile(chain_ab, deg("a"), deg("z"))
 
 
+def lottery(*pairs):
+    return make_lottery([(a, F(w)) for a, w in pairs])
+
+
+class TestUnknownAlternatives:
+    """Each query names the alternative its lookups meet first: the support
+    pairs in order, led by f's first alternative, or for shift transport
+    the first of the sorted union of both supports."""
+
+    REL = build_base_relation([strict("x0", "x1")], extra_universe={"x2"})
+    CASES = {  # f, g, then the names for (f, g), for (g, f) and for shift transport
+        "in f": (
+            lottery(("b", "1/4"), ("x0", "1/4"), ("zz", "1/2")), lottery(("x1", 1)),
+            "b", "b", "b",
+        ),
+        "in g": (
+            lottery(("x0", 1)), lottery(("x1", "1/2"), ("y", "1/4"), ("zz", "1/4")),
+            "y", "y", "y",
+        ),
+        "in both, f first": (
+            lottery(("m", "1/2"), ("x0", "1/2")), lottery(("b", "1/2"), ("x1", "1/2")),
+            "m", "b", "b",
+        ),
+        "in both, g first": (
+            lottery(("x0", "1/2"), ("y", "1/2")), lottery(("x1", "1/2"), ("zz", "1/2")),
+            "zz", "y", "y",
+        ),
+    }
+
+    @staticmethod
+    def named(call):
+        with pytest.raises(UnknownAlternative) as info:
+            call()
+        return info.value.ident
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_query_names_the_same_alternative(self, case):
+        f, g, fg, gf, shift = self.CASES[case]
+        rel, named = self.REL, self.named
+        for query in (compare, dominates, cross_profile):
+            assert named(lambda: query(rel, f, g)) == fg
+            assert named(lambda: query(rel, g, f)) == gf
+        assert named(lambda: shift_reachable(rel, f, g)) == shift
+        assert named(lambda: shift_reachable(rel, g, f)) == shift
+        assert named(lambda: maximal_filter(rel, [("o", f), ("p", g)])) == fg
+        assert named(lambda: maximal_filter(rel, [("p", g), ("o", f)])) == gf
+
+    def test_equal_lotteries_and_a_lone_offer_are_not_looked_up(self):
+        # but shift transport checks every alternative, even for f == g
+        f = self.CASES["in f"][0]
+        assert compare(self.REL, f, f).members == {E}
+        assert maximal_filter(self.REL, [("o", f)]) == [("o", f)]
+        assert self.named(lambda: shift_reachable(self.REL, f, f)) == "b"
+
+
 class TestDominates:
     def test_strict_pair_dominates(self, chain_ab):
         assert dominates(chain_ab, deg("a"), deg("b"))
@@ -390,6 +445,38 @@ class TestMaximalFilter:
     def test_duplicate_names_rejected(self, chain_ab):
         with pytest.raises(DuplicateOfferName):
             maximal_filter(chain_ab, [("x", deg("a")), ("x", deg("b"))])
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_drops_exactly_the_offers_shifted_to_another(self, seed):
+        # compare is {<} exactly when R3 fires, so the filter needs only
+        # the one-directional shift test
+        rng = random.Random(seed)
+        rel = mixed_relation(rng)
+        alts = sorted(rel.universe)
+        offers = [(f"o{i}", random_grid_lottery(rng, alts, 12)) for i in range(8)]
+        kept = {name for name, _ in maximal_filter(rel, offers)}
+        for name, lot in offers:
+            shifted = any(shift_reachable(rel, lot, other) for _, other in offers)
+            assert (name not in kept) == shifted, name
+
+    def test_queries_build_no_relation_wide_state(self):
+        # a query pays for the supports it touches; building rel.weak or a
+        # cache over all 400 alternatives would cost more than a query
+        rng = random.Random(400)
+        layers = [alt_names(400)[k:k + 20] for k in range(0, 400, 20)]
+        facts = [PrefFact(FactKind.EQUIV, *rng.sample(layer, 2)) for layer in layers]
+        facts += [
+            strict(a, b)
+            for low, high in zip(layers, layers[1:])
+            for a in low
+            for b in rng.sample(high, 3)
+        ]
+        rel = build_base_relation(facts)
+        offers = [(f"o{i}", random_grid_lottery(rng, rng.sample(sorted(rel.universe), 3), 12))
+                  for i in range(12)]
+        compare(rel, offers[0][1], offers[1][1])
+        maximal_filter(rel, offers)
+        assert vars(rel).keys() == {"universe", "up"}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_nonempty_output_on_nonempty_input(self, seed):

@@ -1,4 +1,7 @@
 import itertools
+import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +22,26 @@ from partialpref.lottery import (
 )
 
 from conftest import alt_names, grid_lotteries
+
+
+class TestCachedHash:
+    def test_equal_lotteries_hash_alike(self):
+        f = make_lottery([("a", F(1, 3)), ("b", F(2, 3))])
+        g = make_lottery([("b", F(2, 3)), ("a", F(1, 3))])
+        assert hash(f) == hash(f) == hash(g) == hash((f.entries,))
+
+    def test_unpickled_lottery_hashes_as_built_here(self):
+        # the pickle comes from a process with another string hash seed
+        code = (
+            "import pickle, sys; from partialpref.lottery import Lottery; "
+            "lot = Lottery.degenerate('a'); hash(lot); sys.stdout.buffer.write(pickle.dumps(lot))"
+        )
+        seed = "1" if sys.flags.hash_randomization == 0 else "0"
+        data = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True,
+            env={"PYTHONHASHSEED": seed, "PYTHONPATH": ":".join(sys.path)},
+        ).stdout
+        assert pickle.loads(data) in {Lottery.degenerate("a")}
 
 
 class TestMakeLottery:
