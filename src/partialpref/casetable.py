@@ -20,7 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .engine import REFUTES, AdmissibleSet, mixing_consequences
+from .engine import REFUTES, AdmissibleSet, consequences, lift
 from .errors import (
     DslSyntaxError,
     ForeignLottery,
@@ -246,15 +246,10 @@ def check_axioms(model: FiniteModel, rel=None) -> list[AxiomViolation]:
     table = mixture_table(fam)
     mixes = list(mixture_instances(table, len(fam)))
 
-    found = [("A1'", (h,)) for h in range(len(fam)) if (h, h) not in weak]
-    above = [[] for _ in fam]
-    for x, y in weak:
-        above[x].append(y)
-    found += [("A2", (x, y, z)) for x, y in weak for z in above[y] if (x, z) not in weak]
-    found += [
+    found = [
         (axiom, witnesses)
-        for axiom, pair, witnesses in mixing_consequences(table, mixes, weak, strict)
-        if pair not in (weak if axiom == "A4" else strict)
+        for axiom, pair, witnesses in consequences(table, mixes, len(fam), weak, strict)
+        if pair not in (strict if axiom in ("A3", "A5") else weak)
     ]
     # persistence: a strict mixture pair asks for a strict draw
     found += [
@@ -265,7 +260,4 @@ def check_axioms(model: FiniteModel, rel=None) -> list[AxiomViolation]:
     ]
     # "A1'" < "A2" < ... < "A6" as strings; alphas are not positions
     found.sort(key=lambda v: (v[0], [w for w in v[1] if type(w) is int]))
-    return [
-        AxiomViolation(axiom, tuple(fam[w] if type(w) is int else w for w in witnesses))
-        for axiom, witnesses in found
-    ]
+    return [AxiomViolation(axiom, lift(fam, witnesses)) for axiom, witnesses in found]

@@ -138,14 +138,8 @@ def _cmd_check(args, out, err) -> int:
     rel = _load_relation(args.prefs)
     doc, pairs = dsl.parse_model(_read_text(args.model))
     lots = dsl.lotteries_from_document(doc, normalize=args.normalize)
-    weak = set()
-    for left, right in pairs:
-        for name in (left, right):
-            if name not in lots:
-                print(f"unknown lottery name in model: {name!r}", file=err)
-                return 1
-        weak.add((lots[left], lots[right]))
-    model = casetable.FiniteModel(family=tuple(lots.values()), weak=frozenset(weak))
+    weak = frozenset((lots[left], lots[right]) for left, right in pairs)
+    model = casetable.FiniteModel(family=tuple(lots.values()), weak=weak)
     violations = casetable.check_axioms(model, rel)
     name_of = {lot: name for name, lot in lots.items()}
 
@@ -165,17 +159,12 @@ def _cmd_saturate(args, out, err) -> int:
     rel = _load_relation(args.prefs)
     lots = _load_lotteries(args.lotteries, args.normalize)
     facts = engine.saturate(rel, list(lots.values()))
-    order = {lot: i for i, lot in enumerate(lots.values())}
-    names = {lot: name for name, lot in lots.items()}
     sep = "\t" if args.format == "tsv" else " "
-    rows = []
-    for x, y in facts.weak:
-        if x == y:
-            continue
-        op = "<" if (x, y) in facts.strict else "<="
-        rows.append((order[x], order[y], f"{names[x]}{sep}{op}{sep}{names[y]}"))
-    for _, _, line in sorted(rows):
-        print(line, file=out)
+    for x, f in lots.items():
+        for y, g in lots.items():
+            if x != y and (f, g) in facts.weak:
+                op = "<" if (f, g) in facts.strict else "<="
+                print(f"{x}{sep}{op}{sep}{y}", file=out)
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import AdmissibleSet
-from .errors import DslSyntaxError, DuplicateName
+from .errors import DslSyntaxError, DuplicateName, MalformedId, PrefError, UnknownLotteryName
 from .lottery import Lottery, make_lottery
 from .relation import BaseRelation, FactKind, PrefFact, build_base_relation, check_id, render_symbols
 
@@ -53,7 +53,8 @@ class PrefDocument:
 @dataclass(frozen=True)
 class LotteryDocument:
     entries: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...]
-    positions: tuple[int, ...] = field(default=(), compare=False)
+    # (line, column) of each distribution
+    positions: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
 
 def _strip_comment(line: str) -> str:
@@ -64,6 +65,16 @@ def _strip_comment(line: str) -> str:
 def _column(line: str, token: str, start: int = 0) -> int:
     idx = line.find(token, start)
     return idx + 1 if idx >= 0 else len(line) + 1
+
+
+def _check_id_at(ident: str, lineno: int, line: str, start: int | None = 0) -> str:
+    """``check_id``; a malformed identifier is placed at its first occurrence
+    in ``line`` from index ``start``, or at its last if ``start`` is None."""
+    try:
+        return check_id(ident)
+    except MalformedId as exc:
+        col = line.rfind(ident) + 1 if start is None else _column(line, ident, start)
+        raise exc.at(lineno, col) from None
 
 
 def parse_prefs(text: str) -> PrefDocument:
@@ -83,7 +94,7 @@ def parse_prefs(text: str) -> PrefDocument:
         if tokens[0] == "alt":
             if len(tokens) != 2:
                 raise DslSyntaxError(lineno, _column(line, "alt") + 3, "a single identifier after 'alt'")
-            universe.append(check_id(tokens[1]))
+            universe.append(_check_id_at(tokens[1], lineno, line, None))
             continue
         if len(tokens) != 3:
             raise DslSyntaxError(lineno, 1, "'<id> (<|<=|~) <id>' or 'alt <id>'")
@@ -93,7 +104,11 @@ def parse_prefs(text: str) -> PrefDocument:
             if op[0] in _OPS and len(op) > 1:
                 col += 1  # the first character parses; point at the stray one
             raise DslSyntaxError(lineno, col, "operator <, <= or ~")
-        facts.append(PrefFact(_OPS[op], left, right))
+        try:
+            facts.append(PrefFact(_OPS[op], left, right))
+        except MalformedId as exc:  # left is checked first
+            col = _column(line, left) if exc.ident == left else line.rfind(right) + 1
+            raise exc.at(lineno, col) from None
         positions.append(lineno)
     return PrefDocument(tuple(facts), tuple(universe), tuple(positions))
 
@@ -124,11 +139,12 @@ def parse_lotteries(text: str) -> LotteryDocument:
         if not sep:
             raise DslSyntaxError(lineno, len(line) + 1, "':' after the lottery name")
         name = head.strip()
-        check_id(name)
+        _check_id_at(name, lineno, line)
         if name in names:
             raise DuplicateName(name, lineno)
         names.add(name)
         pairs = []
+        start = len(head) + 1  # index of the next part in the line
         for part in tail.split(","):
             item = part.strip()
             if not item:
@@ -138,10 +154,11 @@ def parse_lotteries(text: str) -> LotteryDocument:
                 raise DslSyntaxError(lineno, _column(line, item), "'@' between alternative and weight")
             alt = alt.strip()
             weight = weight.strip()
-            check_id(alt)
+            _check_id_at(alt, lineno, line, start)
             pairs.append((alt, _parse_rational(weight, lineno, _column(line, weight))))
+            start += len(part) + 1
         entries.append((name, tuple(pairs)))
-        positions.append(lineno)
+        positions.append((lineno, len(head) + len(tail) - len(tail.lstrip()) + 2))
     return LotteryDocument(tuple(entries), tuple(positions))
 
 
@@ -172,10 +189,11 @@ def parse_model(text: str) -> tuple[LotteryDocument, tuple[tuple[str, str], ...]
     """Parse an explicit finite model file.
 
     Lottery lines follow the lottery grammar; relation lines are
-    ``<name> <= <name>`` between declared lottery names.
+    ``<name> <= <name>`` between declared lottery names, and any other
+    name is an error placed at its line and column.
     """
     lottery_lines = []
-    weak_pairs = []
+    relations = []  # (left, right, line number, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line.strip():
@@ -189,11 +207,17 @@ def parse_model(text: str) -> tuple[LotteryDocument, tuple[tuple[str, str], ...]
         if len(tokens) != 3 or tokens[1] not in ("<=", "⪯"):
             raise DslSyntaxError(lineno, 1, "'<name> : ...' or '<name> <= <name>'")
         left, _, right = tokens
-        check_id(left)
-        check_id(right)
-        weak_pairs.append((left, right))
+        _check_id_at(left, lineno, line)
+        _check_id_at(right, lineno, line, None)
+        relations.append((left, right, lineno, line))
     doc = parse_lotteries("\n".join(lottery_lines))
-    return doc, tuple(weak_pairs)
+    declared = {name for name, _ in doc.entries}
+    for left, right, lineno, line in relations:
+        if left not in declared:
+            raise UnknownLotteryName(left).at(lineno, _column(line, left))
+        if right not in declared:
+            raise UnknownLotteryName(right).at(lineno, line.rfind(right) + 1)
+    return doc, tuple((left, right) for left, right, _, _ in relations)
 
 
 def relation_from_document(doc: PrefDocument) -> BaseRelation:
@@ -201,5 +225,17 @@ def relation_from_document(doc: PrefDocument) -> BaseRelation:
 
 
 def lotteries_from_document(doc: LotteryDocument, normalize: bool = False) -> dict[str, Lottery]:
-    """Materialize the document into named lotteries, in document order."""
-    return {name: make_lottery(pairs, normalize=normalize) for name, pairs in doc.entries}
+    """Materialize the document into named lotteries, in document order.
+
+    A weight error is placed at its distribution when the document has
+    positions.
+    """
+    lots = {}
+    for i, (name, pairs) in enumerate(doc.entries):
+        try:
+            lots[name] = make_lottery(pairs, normalize=normalize)
+        except PrefError as exc:
+            if doc.positions:
+                raise exc.at(*doc.positions[i]) from None
+            raise
+    return lots

@@ -137,8 +137,7 @@ def _support_kinds(rel: BaseRelation, f: Lottery, g: Lottery) -> int:
         ups_f = [(a, up[a]) for a, _ in f.entries]
         ups_g = [(b, up[b]) for b, _ in g.entries]
     except KeyError:
-        for a in [f.entries[0][0], *(b for b, _ in g.entries), *(a for a, _ in f.entries)]:
-            rel._require(a)
+        rel._require(f.entries[0][0], *(b for b, _ in g.entries), *(a for a, _ in f.entries))
         raise
     kinds = 0
     for a, up_a in ups_f:
@@ -263,36 +262,54 @@ def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
     ))
 
 
-def mixing_consequences(table, mixes, weak, strict):
-    """Every A3, A4 and A5 instance over index pairs whose premises hold.
+def consequences(table, mixes, size, weak, strict):
+    """Every A1'-A5 instance over indices whose premises hold and whose
+    conclusion is not yet strict.
 
-    Yields ``(axiom, (h1, h2), witnesses)``: A4 concludes h1 <= h2, A3 and
-    A5 conclude h1 < h2.  ``witnesses`` is the tuple ``check`` prints:
+    Yields ``(axiom, (h1, h2), witnesses)``: A1', A2 and A4 conclude
+    h1 <= h2, A3 and A5 conclude h1 < h2.  ``witnesses`` is the tuple
+    ``check`` prints: ``(h,)`` for A1', ``(x, y, z)`` for A2 (x <= y <= z),
     ``(f, g, alpha, beta, h1, h2)`` for A3 (f < g mixed at beta > alpha),
     ``(f1, g1, f2, g2, alpha, h1, h2)`` for A4 and A5 (h1 mixes f1 with f2,
-    h2 mixes g1 with g2, as in ``mixes``).  A3 walks a sorted copy of
-    ``strict``, so a caller may add conclusions while iterating.
+    h2 mixes g1 with g2, as in ``mixes``).  A2 and A3 walk copies of
+    ``weak`` and ``strict`` taken when they start, so a caller may add
+    conclusions while iterating.
     """
+    for h in range(size):
+        if (h, h) not in strict:
+            yield "A1'", (h, h), (h,)
+    above = [[] for _ in range(size)]
+    for x, y in weak:
+        above[x].append(y)
+    for x, y in list(weak):
+        for z in above[y]:
+            if (x, z) not in strict:
+                yield "A2", (x, z), (x, y, z)
     # mixing a strict pair with itself: more weight on the worse side is worse
     for f, g in sorted(strict):
         row = table[f, g]
         for h1, beta in row:
             for h2, alpha in row:
-                if beta > alpha:
+                if beta > alpha and (h1, h2) not in strict:
                     yield "A3", (h1, h2), (f, g, alpha, beta, h1, h2)
     # mixing two weak facts / a strict with a weak fact at a shared alpha
     for h1, h2, alpha, (f1, f2), (g1, g2) in mixes:
-        if (f1, g1) in weak and (f2, g2) in weak:
+        if (f1, g1) in weak and (f2, g2) in weak and (h1, h2) not in strict:
             witnesses = (f1, g1, f2, g2, alpha, h1, h2)
             yield "A4", (h1, h2), witnesses
             if (f1, g1) in strict:
                 yield "A5", (h1, h2), witnesses
 
 
+def lift(members, witnesses) -> tuple:
+    """``witnesses`` with each int index replaced by its member of ``members``."""
+    return tuple(members[w] if type(w) is int else w for w in witnesses)
+
+
 @dataclass(frozen=True)
 class Derivation:
     """How a saturated fact was obtained: rule id plus its witnesses; for
-    A3-A5 the witnesses of the matching ``check`` violation."""
+    A1'-A5 the witnesses of the matching ``check`` violation."""
 
     rule: str
     premises: tuple
@@ -317,7 +334,7 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
 
     Seeds weak facts with dominance and strict facts with shift witnesses
     over the pool (family members plus degenerate lotteries on their
-    supports), then closes under transitivity and the three mixing rules,
+    supports), then closes under A1'-A5 as :func:`consequences` states them,
     restricted to mixtures that are themselves pool members.  The result
     is restricted to pairs of family members.
     """
@@ -325,8 +342,7 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
     degenerates = [Lottery.degenerate(a) for lot in family for a, _ in lot.entries]
     pool = list(dict.fromkeys([*family, *degenerates]))
     for lot in pool:
-        for a in lot.support():
-            rel._require(a)
+        rel._require(*(a for a, _ in lot.entries))
 
     # the fixpoint runs on pool indices
     weak: set[tuple[int, int]] = set()
@@ -342,8 +358,6 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
         prov[pair] = (rule, premises)
         return True
 
-    for x in range(len(pool)):
-        add((x, x), "reflexive", (x,))
     for x, y in permutations(range(len(pool)), 2):
         if dominates(rel, pool[x], pool[y]):
             add((x, y), "seed-dominance", (x, y))
@@ -356,33 +370,18 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
     changed = True
     while changed:
         changed = False
-        # transitivity (weak composed with weak; strict absorbs weak)
-        above = [[] for _ in pool]
-        for x, y in weak:
-            above[x].append(y)
-        for x, y in list(weak):
-            for z in above[y]:
-                if x == z:
-                    continue
-                is_strict = (x, y) in strict or (y, z) in strict
-                changed |= add((x, z), "A2", ((x, y), (y, z)), is_strict)
-        for axiom, pair, witnesses in mixing_consequences(table, mixes, weak, strict):
-            changed |= add(pair, axiom, witnesses, axiom != "A4")
+        for axiom, (x, z), witnesses in consequences(table, mixes, len(pool), weak, strict):
+            # transitivity: a strict premise makes the conclusion strict
+            is_strict = axiom in ("A3", "A5") or axiom == "A2" and x != z and (
+                (x, witnesses[1]) in strict or (witnesses[1], z) in strict)
+            changed |= add((x, z), axiom, witnesses, is_strict)
 
-    def lift(premise):
-        if isinstance(premise, tuple):
-            return tuple(lift(p) for p in premise)
-        return pool[premise] if type(premise) is int else premise
-
-    def facts(pairs):
-        m = len(family)  # family members come first in the pool
-        return frozenset((pool[x], pool[y]) for x, y in pairs if x < m and y < m)
-
+    m = len(family)  # family members come first in the pool
     return DerivedFacts(
-        weak=facts(weak),
-        strict=facts(strict),
+        weak=frozenset((pool[x], pool[y]) for x, y in weak if x < m and y < m),
+        strict=frozenset((pool[x], pool[y]) for x, y in strict if x < m and y < m),
         provenance={
-            (pool[x], pool[y]): Derivation(rule, lift(premises))
+            (pool[x], pool[y]): Derivation(rule, lift(pool, premises))
             for (x, y), (rule, premises) in prov.items()
         },
     )

@@ -2,7 +2,18 @@
 
 
 class PrefError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``line`` and ``column`` place an input error in its file, when known.
+    """
+
+    line = column = None
+
+    def at(self, line, column):
+        """This error, placed at ``line`` and ``column`` of its input."""
+        self.line, self.column = line, column
+        self.args = (f"line {line}, column {column}: {self}",)
+        return self
 
 
 class MalformedId(PrefError):
@@ -69,6 +80,12 @@ class DuplicateName(PrefError):
         super().__init__(f"duplicate name: {name!r}{loc}")
         self.name = name
         self.line = line
+
+
+class UnknownLotteryName(PrefError):
+    def __init__(self, name):
+        super().__init__(f"unknown lottery name in model: {name!r}")
+        self.name = name
 
 
 class ForeignLottery(PrefError):

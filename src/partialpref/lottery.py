@@ -127,24 +127,23 @@ def convex_combine(alpha, f: Lottery, g: Lottery) -> Lottery:
     return Lottery(entries=entries)
 
 
-def scale(lotteries) -> tuple[list[str], int, list[list[int]]]:
+def scale(lotteries) -> list[list[int]]:
     """The lotteries as integer weight vectors over one common denominator.
 
-    Returns ``(alts, denom, vectors)``: the sorted union of the supports,
-    the least common denominator of every weight, and for each lottery the
-    vector whose entry c is its weight on ``alts[c]`` times ``denom``.
+    Entry c of each vector is the lottery's weight on the c-th alternative
+    of the sorted union of the supports, times the least common
+    denominator of every weight.
     """
     forms = [lot.integer_form for lot in lotteries]
-    alts = sorted({a for _, nums in forms for a in nums})
-    column = {a: c for c, a in enumerate(alts)}
+    column = {a: c for c, a in enumerate(sorted({a for _, nums in forms for a in nums}))}
     denom = lcm(*(d for d, _ in forms))
     vectors = []
     for d, nums in forms:
-        vec = [0] * len(alts)
+        vec = [0] * len(column)
         for a, x in nums.items():
             vec[column[a]] = x * (denom // d)
         vectors.append(vec)
-    return alts, denom, vectors
+    return vectors
 
 
 def _segment(vectors, x, y) -> list[tuple[int, int, int]]:
@@ -177,7 +176,7 @@ def decompose(h: Lottery, f: Lottery, g: Lottery):
     decompositions h == f or h == g are deliberately excluded).  Raises
     :class:`DegeneratePair` when f == g.
     """
-    _, _, (vh, vf, vg) = scale((h, f, g))
+    vh, vf, vg = scale((h, f, g))
     for _, num, den in _segment([vh], vf, vg):
         if 0 < num < den:
             return Fraction(num, den)
@@ -193,7 +192,7 @@ def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction]]
     included.  Weights are scaled to integers over their common
     denominator, so every entry is decided exactly; alpha is a Fraction.
     """
-    _, _, vectors = scale(lotteries)
+    vectors = scale(lotteries)
     fraction = cache(Fraction)  # one Fraction per coefficient value
     table = {}
     for i, j in combinations(range(len(vectors)), 2):

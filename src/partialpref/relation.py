@@ -116,24 +116,21 @@ class BaseRelation:
         """The closed relation <= as ordered pairs, built on first use."""
         return frozenset((a, b) for a, bs in self.up.items() for b in bs)
 
-    def _require(self, ident: str) -> None:
-        if ident not in self.up:
-            raise UnknownAlternative(ident)
-
-    def _up_sets(self, a: str, b: str):
-        try:
-            return self.up[a], self.up[b]
-        except KeyError as exc:
-            raise UnknownAlternative(exc.args[0]) from None
+    def _require(self, *alternatives: str) -> None:
+        """Raise for the first of ``alternatives`` outside the universe."""
+        for a in alternatives:
+            if a not in self.up:
+                raise UnknownAlternative(a)
 
     def holds(self, a: str, b: str) -> bool:
         """True iff a <= b is in the closed relation."""
-        return b in self._up_sets(a, b)[0]
+        self._require(a, b)
+        return b in self.up[a]
 
     def classify(self, a: str, b: str) -> RelKind:
         """Four-way classification of the ordered pair (a, b)."""
-        up_a, up_b = self._up_sets(a, b)
-        return _KIND[b in up_a][a in up_b]
+        self._require(a, b)
+        return _KIND[b in self.up[a]][a in self.up[b]]
 
 
 def _close(succ: dict[str, set[str]]) -> dict[str, frozenset[str]]:

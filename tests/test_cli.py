@@ -209,6 +209,32 @@ class TestCheck:
         assert code == 1
 
 
+class TestInputErrorsPlaced:
+    """Each malformed input exits 1 naming its line and column."""
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("validate", "a < b!\n", "line 1, column 5: malformed identifier: 'b!'"),
+            ("filter", "f : a!@1\n", "line 1, column 5: malformed identifier: 'a!'"),
+            ("filter", "g : a@1\nf : a@1/2, b@1/3\n",
+             "line 2, column 5: weights sum to 5/6, expected 1"),
+            ("filter", "f : a@1, b@-1/2\n", "line 1, column 5: negative weight -1/2 for 'b'"),
+            ("filter", "f : a@0\n", "line 1, column 5: lottery has empty support"),
+            ("check", "f : a@1\nf <= f\n\nf <= zz\n",
+             "line 4, column 6: unknown lottery name in model: 'zz'"),
+        ],
+        ids=["malformed-id", "malformed-alternative", "not-normalized", "negative-weight",
+             "zero-weight", "unknown-model-name"],
+    )
+    def test_error_names_line_and_column(self, chain, tmp_path, command, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        argv = [command, str(path)] if command == "validate" else [command, str(chain), str(path)]
+        code, out, err = invoke(*argv)
+        assert (code, out, err) == (1, "", message + "\n")
+
+
 class TestNotUtf8:
     @pytest.mark.parametrize("role", ["prefs", "lotteries", "model", "transcription"])
     def test_undecodable_file_exits_1(self, chain, lots, tmp_path, role):
@@ -234,6 +260,23 @@ class TestSaturate:
     def test_tsv(self, chain, lots):
         code, out, _ = invoke("--format", "tsv", "saturate", str(chain), str(lots))
         assert "f\t<\tg" in out.splitlines()
+
+    def test_every_name_of_one_distribution_printed(self, tmp_path):
+        prefs, lots = tmp_path / "ab.prefs", tmp_path / "lots.txt"
+        prefs.write_text("a < b\n")
+        lots.write_text("f : a@1\ng : a@1\nh : b@1\n")
+        code, out, _ = invoke("saturate", str(prefs), str(lots))
+        assert code == 0
+        assert out.splitlines() == ["f <= g", "f < h", "g <= f", "g < h"]
+
+    def test_unknown_alternative_identical_across_hash_seeds(self, tmp_path):
+        prefs, lots = tmp_path / "ab.prefs", tmp_path / "lots.txt"
+        prefs.write_text("a < b\n")
+        lots.write_text("f : a@1/4, zq@1/4, yk@1/4, xm@1/4\n")
+        for seed in ("0", "1", "2", "3", "4", "5", "6", "7"):
+            proc = main_under_hash_seed(seed, "saturate", str(prefs), str(lots))
+            assert (proc.returncode, proc.stdout) == (1, b""), seed
+            assert proc.stderr == b"alternative not in universe: 'xm'\n", seed
 
 
 class TestUsage:

@@ -21,7 +21,9 @@ from partialpref.errors import (
     DslSyntaxError,
     DuplicateName,
     MalformedId,
+    NegativeWeight,
     NotNormalized,
+    UnknownLotteryName,
 )
 from partialpref.relation import FactKind, PrefFact, RelKind
 
@@ -73,6 +75,16 @@ class TestParsePrefs:
         with pytest.raises(MalformedId):
             parse_prefs("a.b < c")
 
+    @pytest.mark.parametrize(
+        "text, ident, column",
+        [("a.b < c", "a.b", 1), ("b < b!", "b!", 5), ("a <= <=", "<=", 6), ("  alt x.y", "x.y", 7)],
+    )
+    def test_malformed_id_placed(self, text, ident, column):
+        with pytest.raises(MalformedId) as exc:
+            parse_prefs("a < b\n" + text)
+        assert (exc.value.ident, exc.value.line, exc.value.column) == (ident, 2, column)
+        assert str(exc.value) == f"line 2, column {column}: malformed identifier: {ident!r}"
+
 
 class TestParseLotteries:
     def test_basic_entry(self):
@@ -99,6 +111,28 @@ class TestParseLotteries:
         lots = lotteries_from_document(doc, normalize=True)
         assert lots["f"].weight("a") == F(3, 5)
 
+    def test_malformed_names_placed(self):
+        for text, ident, column in [("x! : a@1", "x!", 1), ("f :  b@1/2,  a!@1/2", "a!", 14)]:
+            with pytest.raises(MalformedId) as exc:
+                parse_lotteries(text)
+            assert (exc.value.ident, exc.value.line, exc.value.column) == (ident, 1, column)
+
+    def test_materialize_error_placed_at_distribution(self):
+        doc = parse_lotteries("g : a@1\n\n f :a@1, b@-1/2")
+        assert doc.positions == ((1, 5), (3, 5))
+        with pytest.raises(NegativeWeight) as exc:
+            lotteries_from_document(doc)
+        assert (exc.value.alternative, exc.value.weight) == ("b", F(-1, 2))
+        assert (exc.value.line, exc.value.column) == (3, 5)
+        assert str(exc.value).startswith("line 3, column 5: negative weight")
+
+    def test_document_without_positions_errs_unplaced(self):
+        doc = LotteryDocument((("f", (("a", F(1, 2)),)),))
+        with pytest.raises(NotNormalized) as exc:
+            lotteries_from_document(doc)
+        assert (exc.value.total, exc.value.line) == (F(1, 2), None)
+        assert str(exc.value) == "weights sum to 1/2, expected 1"
+
     def test_missing_colon(self):
         with pytest.raises(DslSyntaxError):
             parse_lotteries("f a@1")
@@ -124,6 +158,12 @@ class TestParseModel:
     def test_bad_relation_line(self):
         with pytest.raises(DslSyntaxError):
             parse_model("f : a@1\nf < g")
+
+    def test_unknown_name_placed(self):
+        # the relation line may precede the lotteries it names
+        with pytest.raises(UnknownLotteryName) as exc:
+            parse_model("g <= f\nf : a@1\n  q <= f\ng : b@1")
+        assert (exc.value.name, exc.value.line, exc.value.column) == ("q", 3, 3)
 
 
 class TestRenderVerdict:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -377,7 +378,7 @@ class TestSaturate:
             assert relabelled.provenance.keys() == facts.provenance.keys()
 
     def test_mixing_derivations_replay(self):
-        # every A3/A4/A5 fact replays from its premises, and ``check`` names
+        # every A1'-A5 fact replays from its premises, and ``check`` names
         # the same instance, with the same witnesses, once the fact is missing
         rng = random.Random(43)
         rules = Counter()
@@ -393,16 +394,28 @@ class TestSaturate:
             family = list(dict.fromkeys(base + mids + degs))
             facts = saturate(rel, family)
             for (h1, h2), d in facts.provenance.items():
-                if d.rule not in ("A3", "A4", "A5"):
+                if d.rule.startswith("seed-"):
                     continue
                 rules[d.rule] += 1
-                if d.rule == "A3":
+                if d.rule == "A1'":
+                    assert d.premises == (h1,) and h1 == h2
+                    premises = []
+                    is_strict = False
+                elif d.rule == "A2":
+                    f, g, h = d.premises
+                    assert (f, h) == (h1, h2) and f != h
+                    premises = [(f, g), (g, h)]
+                    assert set(premises) <= facts.weak
+                    is_strict = bool(set(premises) & facts.strict)
+                elif d.rule == "A3":
                     f, g, alpha, beta, w1, w2 = d.premises
                     assert 0 <= alpha < beta <= 1
                     assert convex_combine(beta, f, g) == h1
                     assert convex_combine(alpha, f, g) == h2
                     assert (f, g) in facts.strict
+                    assert (w1, w2) == (h1, h2)
                     premises = [(f, g)]
+                    is_strict = True
                 else:
                     f1, g1, f2, g2, alpha, w1, w2 = d.premises
                     assert 0 < alpha < 1
@@ -410,16 +423,57 @@ class TestSaturate:
                     assert convex_combine(alpha, g1, g2) == h2
                     assert {(f1, g1), (f2, g2)} <= facts.provenance.keys()
                     assert ((f1, g1) in facts.strict) == (d.rule == "A5")
+                    assert (w1, w2) == (h1, h2)
                     premises = [(f1, g1), (f2, g2)]
-                assert (w1, w2) == (h1, h2)
-                assert ((h1, h2) in facts.strict) == (d.rule != "A4")
+                    is_strict = d.rule == "A5"
+                assert ((h1, h2) in facts.strict) == is_strict
                 members = tuple(dict.fromkeys(x for x in d.premises if isinstance(x, Lottery)))
-                model = FiniteModel(
-                    family=members,
-                    weak=frozenset([(x, x) for x in members] + premises),
-                )
+                weak = {(x, x) for x in members} | set(premises)
+                model = FiniteModel(family=members, weak=frozenset(weak - {(h1, h2)}))
                 assert AxiomViolation(d.rule, d.premises) in check_axioms(model)
-        assert min(rules[r] for r in ("A3", "A4", "A5")) >= 20, rules
+        assert min(rules[r] for r in ("A1'", "A2", "A3", "A4", "A5")) >= 20, rules
+
+    def test_facts_and_check_match_recorded_digest(self):
+        # sha256 of saturate's facts, its provenance and check's output on
+        # 300 seeded families, recorded before A1' and A2 moved into
+        # ``engine.consequences``; the provenance of that record was
+        # rewritten to the new form ("reflexive" became "A1'", and A2
+        # premises ((f, g), (g, h)) became (f, g, h))
+        rng = random.Random(2014)
+        facts_digest, provenance_digest = hashlib.sha256(), hashlib.sha256()
+
+        def pairs(pairs):
+            return sorted(f"{x} {y}" for x, y in pairs)
+
+        for i in range(300):
+            rel = random_relation(rng, rng.randint(2, 4))
+            alts = sorted(rel.universe)
+            base = [random_grid_lottery(rng, alts, 4) for _ in range(3)]
+            mids = [convex_combine(F(1, 3), x, y) for x, y in zip(base, base[1:])]
+            mids += [convex_combine(F(1, 2), base[0], base[-1])]
+            degs = [deg(a) for a in alts] if i % 2 else []
+            family = list(dict.fromkeys(base + mids + degs))
+            facts = saturate(rel, family)
+            facts_digest.update(repr((
+                pairs(facts.weak), pairs(facts.strict), pairs(facts.provenance)
+            )).encode())
+            provenance_digest.update(repr(sorted(
+                (f"{x} {y}", repr((d.rule, d.premises)))
+                for (x, y), d in facts.provenance.items()
+            )).encode())
+            # the saturated model, and a copy with some of its pairs dropped
+            weak = sorted(facts.weak, key=str)
+            thinned = rng.sample(weak, len(weak) - rng.randint(1, max(1, len(weak) // 3)))
+            for model_weak in (weak, thinned):
+                model = FiniteModel(family=tuple(family), weak=frozenset(model_weak))
+                violations = "\n".join(map(str, check_axioms(model)))
+                facts_digest.update(violations.encode() + b"\n--\n")
+        assert facts_digest.hexdigest() == (
+            "719e995800d14c9c8cd3756a1fca3abcbf2eb6e52cccaada0943b6aa6c810654"
+        )
+        assert provenance_digest.hexdigest() == (
+            "8c220f985cea8a8f496c4fdecc681f13a7f3f78a703a5e6017cfc199ba13e4b6"
+        )
 
 
 class TestMaximalFilter:
