@@ -9,12 +9,13 @@ violations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
 
 from . import casetable, dsl, engine
-from .errors import NotUtf8, PrefError, StrictViolation, TableMismatch
+from .errors import NotUtf8, PrefError, StrictViolation, TableMismatch, UnknownAlternative
 from .relation import render_symbols
 
 
@@ -75,8 +76,20 @@ def _load_relation(path: Path):
 
 
 def _load_lotteries(path: Path, normalize: bool):
-    doc = dsl.parse_lotteries(_read_text(path))
-    return dsl.lotteries_from_document(doc, normalize=normalize)
+    """The named lotteries of a lottery file, and the file's text."""
+    text = _read_text(path)
+    return dsl.lotteries_from_document(dsl.parse_lotteries(text), normalize=normalize), text
+
+
+@contextlib.contextmanager
+def _placed_in(text: str):
+    """Place an unknown alternative at its first mention in the lottery
+    file ``text``."""
+    try:
+        yield
+    except UnknownAlternative as exc:
+        place = dsl.locate_alternative(text, exc.ident)
+        raise exc.at(*place) if place else exc
 
 
 def _cmd_validate(args, out, err) -> int:
@@ -95,12 +108,13 @@ def _cmd_validate(args, out, err) -> int:
 
 def _cmd_compare(args, out, err) -> int:
     rel = _load_relation(args.prefs)
-    lots = _load_lotteries(args.lotteries, args.normalize)
+    lots, text = _load_lotteries(args.lotteries, args.normalize)
     for name in (args.name1, args.name2):
         if name not in lots:
             print(f"unknown lottery name: {name!r}", file=err)
             return 1
-    verdict = engine.compare(rel, lots[args.name1], lots[args.name2])
+    with _placed_in(text):
+        verdict = engine.compare(rel, lots[args.name1], lots[args.name2])
     if args.format == "tsv":
         line = dsl.render_verdict(verdict, verbose=args.verbose, sep="\t")
         print(f"{args.name1}\t{args.name2}\t{line}", file=out)
@@ -111,8 +125,9 @@ def _cmd_compare(args, out, err) -> int:
 
 def _cmd_filter(args, out, err) -> int:
     rel = _load_relation(args.prefs)
-    lots = _load_lotteries(args.lotteries, args.normalize)
-    kept = engine.maximal_filter(rel, list(lots.items()))
+    lots, text = _load_lotteries(args.lotteries, args.normalize)
+    with _placed_in(text):
+        kept = engine.maximal_filter(rel, list(lots.items()))
     for name, _ in kept:
         print(name, file=out)
     return 0
@@ -157,8 +172,9 @@ def _cmd_check(args, out, err) -> int:
 
 def _cmd_saturate(args, out, err) -> int:
     rel = _load_relation(args.prefs)
-    lots = _load_lotteries(args.lotteries, args.normalize)
-    facts = engine.saturate(rel, list(lots.values()))
+    lots, text = _load_lotteries(args.lotteries, args.normalize)
+    with _placed_in(text):
+        facts = engine.saturate(rel, list(lots.values()))
     sep = "\t" if args.format == "tsv" else " "
     for x, f in lots.items():
         for y, g in lots.items():

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import AdmissibleSet
-from .errors import DslSyntaxError, DuplicateName, MalformedId, PrefError, UnknownLotteryName
+from .errors import (
+    DslSyntaxError,
+    DuplicateName,
+    MalformedId,
+    PrefError,
+    StrictViolation,
+    UnknownLotteryName,
+)
 from .lottery import Lottery, make_lottery
 from .relation import BaseRelation, FactKind, PrefFact, build_base_relation, check_id, render_symbols
 
@@ -26,6 +33,7 @@ __all__ = [
     "render_prefs",
     "render_lotteries",
     "render_verdict",
+    "locate_alternative",
     "relation_from_document",
     "lotteries_from_document",
 ]
@@ -47,7 +55,8 @@ _OPS = {
 class PrefDocument:
     facts: tuple[PrefFact, ...]
     universe_decls: tuple[str, ...]
-    positions: tuple[int, ...] = field(default=(), compare=False)  # fact line numbers
+    # (line, column) of each fact
+    positions: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,7 @@ def parse_prefs(text: str) -> PrefDocument:
     ``a <= b`` (weak), ``a ~ b`` (equivalence).
     """
     facts: list[PrefFact] = []
-    positions: list[int] = []
+    positions: list[tuple[int, int]] = []
     universe: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -109,7 +118,7 @@ def parse_prefs(text: str) -> PrefDocument:
         except MalformedId as exc:  # left is checked first
             col = _column(line, left) if exc.ident == left else line.rfind(right) + 1
             raise exc.at(lineno, col) from None
-        positions.append(lineno)
+        positions.append((lineno, len(line) - len(line.lstrip()) + 1))
     return PrefDocument(tuple(facts), tuple(universe), tuple(positions))
 
 
@@ -141,7 +150,7 @@ def parse_lotteries(text: str) -> LotteryDocument:
         name = head.strip()
         _check_id_at(name, lineno, line)
         if name in names:
-            raise DuplicateName(name, lineno)
+            raise DuplicateName(name).at(lineno, _column(line, name))
         names.add(name)
         pairs = []
         start = len(head) + 1  # index of the next part in the line
@@ -160,6 +169,20 @@ def parse_lotteries(text: str) -> LotteryDocument:
         entries.append((name, tuple(pairs)))
         positions.append((lineno, len(head) + len(tail) - len(tail.lstrip()) + 2))
     return LotteryDocument(tuple(entries), tuple(positions))
+
+
+def locate_alternative(text: str, ident: str) -> tuple[int, int] | None:
+    """(line, column) of the first mention of alternative ``ident`` in a
+    lottery document that parses, or None if it is not mentioned."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw)
+        head, _, tail = line.partition(":")
+        start = len(head) + 1
+        for part in tail.split(","):
+            if part.partition("@")[0].strip() == ident:
+                return lineno, _column(line, ident, start)
+            start += len(part) + 1
+    return None
 
 
 def render_prefs(doc: PrefDocument) -> str:
@@ -221,7 +244,16 @@ def parse_model(text: str) -> tuple[LotteryDocument, tuple[tuple[str, str], ...]
 
 
 def relation_from_document(doc: PrefDocument) -> BaseRelation:
-    return build_base_relation(doc.facts, extra_universe=set(doc.universe_decls))
+    """Build the relation; a violated strict fact is placed at its first
+    declaration when the document has positions."""
+    try:
+        return build_base_relation(doc.facts, extra_universe=set(doc.universe_decls))
+    except StrictViolation as exc:
+        if doc.positions:
+            declared = (FactKind.STRICT, exc.left, exc.right)
+            i = next(i for i, f in enumerate(doc.facts) if (f.kind, f.left, f.right) == declared)
+            raise exc.at(*doc.positions[i]) from None
+        raise
 
 
 def lotteries_from_document(doc: LotteryDocument, normalize: bool = False) -> dict[str, Lottery]:

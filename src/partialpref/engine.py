@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from operator import le
 
 from .errors import DuplicateOfferName
-from .lottery import Lottery, mixture_instances, mixture_table
+from .lottery import Lottery, mixture_instances, mixture_table, scale
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
 from .relation import _KIND, BaseRelation, RelKind
 
@@ -35,6 +36,7 @@ __all__ = [
     "cross_profile",
     "dominates",
     "shift_reachable",
+    "up_masses",
     "compare",
     "saturate",
     "maximal_filter",
@@ -242,6 +244,23 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
     return TransportPlan(moves=tuple(sorted(moves.items())))
 
 
+def up_masses(rel: BaseRelation, lotteries) -> list[tuple[int, ...]]:
+    """Each lottery's mass on each principal up-set ``rel.up[a]``, for the
+    alternatives a of the lotteries' supports, as integers over their
+    common denominator; equal up-sets count once.
+
+    A strict shift moves mass only upwards, so if f shifts to g, then g's
+    mass is at least f's on every up-set and greater on the up-set of any
+    alternative that receives mass (Strassen 1965; Kamae, Krengel &
+    O'Brien 1977).  Pairs that fail this need no max-flow.
+    """
+    vectors = scale(lotteries)
+    alts = sorted({a for lot in lotteries for a, _ in lot.entries})
+    rel._require(*alts)
+    columns = dict.fromkeys(tuple(c for c, b in enumerate(alts) if b in rel.up[a]) for a in alts)
+    return [tuple(sum(vec[c] for c in col) for col in columns) for vec in vectors]
+
+
 def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
     """Judgments between f and g not refuted by rules R1-R5."""
     if f == g:
@@ -334,7 +353,9 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
 
     Seeds weak facts with dominance and strict facts with shift witnesses
     over the pool (family members plus degenerate lotteries on their
-    supports), then closes under A1'-A5 as :func:`consequences` states them,
+    supports): dominance is one subset test per pair, and shift transport
+    runs only on the pairs that :func:`up_masses` leaves possible.  Then
+    closes under A1'-A5 as :func:`consequences` states them,
     restricted to mixtures that are themselves pool members.  The result
     is restricted to pairs of family members.
     """
@@ -358,12 +379,17 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
         prov[pair] = (rule, premises)
         return True
 
+    # x dominates y iff supp(y) lies in the up-set of every alternative of x
+    supports = [frozenset(a for a, _ in lot.entries) for lot in pool]
+    above_all = [frozenset.intersection(*(rel.up[a] for a in s)) for s in supports]
+    mass = up_masses(rel, pool)
     for x, y in permutations(range(len(pool)), 2):
-        if dominates(rel, pool[x], pool[y]):
+        if supports[y] <= above_all[x]:
             add((x, y), "seed-dominance", (x, y))
-        plan = shift_reachable(rel, pool[x], pool[y])
-        if plan is not None:
-            add((x, y), "seed-shift", (x, y, plan), True)
+        if mass[x] != mass[y] and all(map(le, mass[x], mass[y])):
+            plan = shift_reachable(rel, pool[x], pool[y])
+            if plan is not None:
+                add((x, y), "seed-shift", (x, y, plan), True)
 
     table = mixture_table(pool)
     mixes = list(mixture_instances(table, len(pool)))

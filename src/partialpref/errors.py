@@ -75,11 +75,9 @@ class DuplicateOfferName(PrefError):
 
 
 class DuplicateName(PrefError):
-    def __init__(self, name, line=None):
-        loc = f" (line {line})" if line is not None else ""
-        super().__init__(f"duplicate name: {name!r}{loc}")
+    def __init__(self, name):
+        super().__init__(f"duplicate name: {name!r}")
         self.name = name
-        self.line = line
 
 
 class UnknownLotteryName(PrefError):

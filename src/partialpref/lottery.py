@@ -11,8 +11,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import repeat
 from math import gcd, lcm
+from operator import floordiv, sub
 
 from .errors import (
     AlphaOutOfRange,
@@ -51,6 +52,15 @@ class Lottery:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        # the cached hashes tell most unequal lotteries apart without
+        # comparing their Fraction weights
+        if self is other:
+            return True
+        if not isinstance(other, Lottery):
+            return NotImplemented
+        return self._hash == other._hash and self.entries == other.entries
 
     @cached_property
     def _hash(self) -> int:
@@ -93,24 +103,34 @@ def make_lottery(pairs, normalize: bool = False) -> Lottery:
 
     Duplicate alternatives are summed and zero entries dropped.  Without
     ``normalize`` the weights must sum to exactly 1; with it they are
-    divided by their sum.
+    divided by their sum.  The weights are summed as integer numerators
+    over the lcm of their denominators, which also gives the lottery's
+    ``integer_form``.
     """
-    acc: dict[str, Fraction] = {}
+    parts = []
     for alternative, weight in pairs:
         check_id(alternative)
         w = Fraction(weight)
-        if w < 0:
+        if w.numerator < 0:
             raise NegativeWeight(alternative, w)
-        acc[alternative] = acc.get(alternative, ZERO) + w
-    total = sum(acc.values(), ZERO)
+        parts.append((alternative, w.numerator, w.denominator))
+    denom = lcm(*(d for _, _, d in parts))
+    acc: dict[str, int] = {}
+    for alternative, num, d in parts:
+        acc[alternative] = acc.get(alternative, 0) + num * (denom // d)
+    total = sum(acc.values())
     if total == 0:
         raise EmptySupport()
-    if normalize:
-        acc = {a: w / total for a, w in acc.items()}
-    elif total != 1:
-        raise NotNormalized(total)
-    entries = tuple(sorted((a, w) for a, w in acc.items() if w > 0))
-    return Lottery(entries=entries)
+    if not normalize and total != denom:
+        raise NotNormalized(Fraction(total, denom))
+    # each weight is acc[a] / total; over the gcd of the numerators, the
+    # total is the least common denominator of the reduced weights
+    common = gcd(*acc.values())
+    nums = {a: acc[a] // common for a in sorted(acc) if acc[a]}
+    denom = total // common
+    lot = Lottery(entries=tuple((a, Fraction(x, denom)) for a, x in nums.items()))
+    vars(lot)["integer_form"] = denom, nums  # the value the cached property computes
+    return lot
 
 
 def convex_combine(alpha, f: Lottery, g: Lottery) -> Lottery:
@@ -146,27 +166,19 @@ def scale(lotteries) -> list[list[int]]:
     return vectors
 
 
-def _segment(vectors, x, y) -> list[tuple[int, int, int]]:
-    """(k, num, den) for each vectors[k] = alpha*x + (1-alpha)*y, alpha in [0, 1].
+def _ray(origin, v) -> tuple[int, tuple[int, ...]]:
+    """``(steps, direction)`` with ``v - origin = steps * direction``.
 
-    ``alpha = num/den`` in lowest terms with ``den > 0``; each candidate is
-    decided by integer cross-multiplication.  Raises
-    :class:`DegeneratePair` when x == y.
+    ``direction`` is primitive: its entries have gcd 1, so two vectors lie
+    on one ray from ``origin`` iff their directions are equal, and one
+    lies between ``origin`` and the other iff it takes fewer steps.
+    Raises :class:`DegeneratePair` when v == origin.
     """
-    diff = [a - b for a, b in zip(x, y)]
-    pivot = next((c for c, d in enumerate(diff) if d), None)
-    if pivot is None:
+    diff = tuple(map(sub, v, origin))
+    steps = gcd(*diff)
+    if not steps:
         raise DegeneratePair()
-    den, y_pivot = diff[pivot], y[pivot]
-    out = []
-    for k, h in enumerate(vectors):
-        num = h[pivot] - y_pivot
-        if not (0 <= num <= den or den <= num <= 0):
-            continue
-        if all((hc - yc) * den == num * dc for hc, yc, dc in zip(h, y, diff)):
-            g = gcd(num, den) * (1 if den > 0 else -1)
-            out.append((k, num // g, den // g))
-    return out
+    return steps, tuple(map(floordiv, diff, repeat(steps)))
 
 
 def decompose(h: Lottery, f: Lottery, g: Lottery):
@@ -177,10 +189,11 @@ def decompose(h: Lottery, f: Lottery, g: Lottery):
     :class:`DegeneratePair` when f == g.
     """
     vh, vf, vg = scale((h, f, g))
-    for _, num, den in _segment([vh], vf, vg):
-        if 0 < num < den:
-            return Fraction(num, den)
-    return None
+    steps, direction = _ray(vg, vf)
+    if vh == vg:
+        return None
+    k, d = _ray(vg, vh)
+    return Fraction(k, steps) if d == direction and k < steps else None
 
 
 def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
@@ -190,15 +203,28 @@ def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction]]
     k ascending, with ``lotteries[k] = alpha*lotteries[i] +
     (1-alpha)*lotteries[j]``; the boundaries (i, 1) and (j, 0) are
     included.  Weights are scaled to integers over their common
-    denominator, so every entry is decided exactly; alpha is a Fraction.
+    denominator; from each base i the other vectors are grouped by their
+    ray (:func:`_ray`), so k lies between i and j iff it is on j's ray
+    from i in at most as many steps as j, and alpha counts those steps.
+    Keys are inserted in ``combinations`` order, (i, j) before (j, i).
     """
     vectors = scale(lotteries)
-    fraction = cache(Fraction)  # one Fraction per coefficient value
+    fraction = cache(Fraction)  # one Fraction per coefficient
     table = {}
-    for i, j in combinations(range(len(vectors)), 2):
-        row = _segment(vectors, vectors[i], vectors[j])
-        table[i, j] = [(k, fraction(num, den)) for k, num, den in row]
-        table[j, i] = [(k, fraction(den - num, den)) for k, num, den in row]
+    for i, origin in enumerate(vectors[:-1]):
+        rays = {}
+        on_ray: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for k, v in enumerate(vectors):
+            if k != i:
+                steps, direction = rays[k] = _ray(origin, v)
+                on_ray.setdefault(direction, []).append((k, steps))
+        for j in range(i + 1, len(vectors)):
+            steps, direction = rays[j]
+            row = [(k, s) for k, s in on_ray[direction] if s <= steps]
+            row.append((i, 0))
+            row.sort()
+            table[i, j] = [(k, fraction(steps - s, steps)) for k, s in row]
+            table[j, i] = [(k, fraction(s, steps)) for k, s in row]
     return table
 
 

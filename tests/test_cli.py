@@ -223,9 +223,10 @@ class TestInputErrorsPlaced:
             ("filter", "f : a@0\n", "line 1, column 5: lottery has empty support"),
             ("check", "f : a@1\nf <= f\n\nf <= zz\n",
              "line 4, column 6: unknown lottery name in model: 'zz'"),
+            ("filter", "f : a@1\n f : b@1\n", "line 2, column 2: duplicate name: 'f'"),
         ],
         ids=["malformed-id", "malformed-alternative", "not-normalized", "negative-weight",
-             "zero-weight", "unknown-model-name"],
+             "zero-weight", "unknown-model-name", "duplicate-name"],
     )
     def test_error_names_line_and_column(self, chain, tmp_path, command, text, message):
         path = tmp_path / "input.txt"
@@ -233,6 +234,28 @@ class TestInputErrorsPlaced:
         argv = [command, str(path)] if command == "validate" else [command, str(chain), str(path)]
         code, out, err = invoke(*argv)
         assert (code, out, err) == (1, "", message + "\n")
+
+    @pytest.mark.parametrize("command", ["compare", "filter", "saturate"])
+    def test_unknown_alternative_placed_at_first_mention(self, chain, tmp_path, command):
+        # zz is weighted 0 in f, so f itself is known; g's zz is the one
+        # looked up, but the first mention is the one placed
+        path = tmp_path / "input.txt"
+        path.write_text("# zz in a comment\nf : a@1, zz@0\ng :  b@1/2,zz@1/2\n")
+        extra = ["g", "f"] if command == "compare" else []
+        code, out, err = invoke(command, str(chain), str(path), *extra)
+        assert (code, out) == (1, "")
+        assert err == "line 2, column 10: alternative not in universe: 'zz'\n"
+
+    @pytest.mark.parametrize("command, code", [("validate", 2), ("filter", 1), ("saturate", 1)])
+    def test_strict_violation_placed_at_declaration(self, lots, tmp_path, command, code):
+        path = tmp_path / "bad.prefs"
+        path.write_text("a < b\n  c < d\n\n d <= c  # contradicts line 2\n")
+        argv = [command, str(path)] + ([str(lots)] if command != "validate" else [])
+        got, out, err = invoke(*argv)
+        assert (got, out) == (code, "")
+        assert err == (
+            "line 2, column 3: strict fact c < d violated: closure also contains d <= c\n"
+        )
 
 
 class TestNotUtf8:
@@ -276,7 +299,7 @@ class TestSaturate:
         for seed in ("0", "1", "2", "3", "4", "5", "6", "7"):
             proc = main_under_hash_seed(seed, "saturate", str(prefs), str(lots))
             assert (proc.returncode, proc.stdout) == (1, b""), seed
-            assert proc.stderr == b"alternative not in universe: 'xm'\n", seed
+            assert proc.stderr == b"line 1, column 28: alternative not in universe: 'xm'\n", seed
 
 
 class TestUsage:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from partialpref.dsl import (
     LotteryDocument,
     PrefDocument,
+    locate_alternative,
     lotteries_from_document,
     parse_lotteries,
     parse_model,
@@ -23,6 +24,7 @@ from partialpref.errors import (
     MalformedId,
     NegativeWeight,
     NotNormalized,
+    StrictViolation,
     UnknownLotteryName,
 )
 from partialpref.relation import FactKind, PrefFact, RelKind
@@ -65,7 +67,7 @@ class TestParsePrefs:
     def test_blank_and_comment_lines_ignored(self):
         doc = parse_prefs("\n# header\n\na < b\n")
         assert len(doc.facts) == 1
-        assert doc.positions == (4,)
+        assert doc.positions == ((4, 1),)
 
     def test_crlf_accepted(self):
         doc = parse_prefs("a < b\r\nb < c\r\n")
@@ -74,6 +76,22 @@ class TestParsePrefs:
     def test_malformed_id(self):
         with pytest.raises(MalformedId):
             parse_prefs("a.b < c")
+
+    def test_strict_violation_placed_at_first_declaration(self):
+        doc = parse_prefs("a < b\n  c < d  # first\n\nd ~ c\n c < d\n")
+        assert doc.positions == ((1, 1), (2, 3), (4, 1), (5, 2))
+        with pytest.raises(StrictViolation) as exc:
+            relation_from_document(doc)
+        assert (exc.value.left, exc.value.right, exc.value.line, exc.value.column) == (
+            "c", "d", 2, 3)
+        assert str(exc.value).startswith("line 2, column 3: strict fact c < d violated")
+
+    def test_document_without_positions_violates_unplaced(self):
+        doc = PrefDocument((PrefFact(FactKind.STRICT, "a", "b"), PrefFact(FactKind.WEAK, "b", "a")), ())
+        with pytest.raises(StrictViolation) as exc:
+            relation_from_document(doc)
+        assert exc.value.line is None
+        assert str(exc.value).startswith("strict fact a < b violated")
 
     @pytest.mark.parametrize(
         "text, ident, column",
@@ -103,6 +121,22 @@ class TestParseLotteries:
     def test_duplicate_name(self):
         with pytest.raises(DuplicateName):
             parse_lotteries("f : a@1\nf : b@1")
+
+    def test_duplicate_name_placed(self):
+        with pytest.raises(DuplicateName) as exc:
+            parse_lotteries("f : a@1\n\n  f  : b@1")
+        assert (exc.value.name, exc.value.line, exc.value.column) == ("f", 3, 3)
+        assert str(exc.value) == "line 3, column 3: duplicate name: 'f'"
+
+    @pytest.mark.parametrize(
+        "ident, place",
+        [("a", (1, 5)), ("b", (2, 12)), ("bb", (2, 5)), ("c", (3, 10)), ("f", None), ("z", None)],
+    )
+    def test_locate_alternative(self, ident, place):
+        # names, weights, comments and longer identifiers are not mentions
+        text = "f : a@1  # b\n\tg:\tbb@1/2,b@1/2\nh : b@0, c @1/2,cc@1/2\n"
+        parse_lotteries(text)
+        assert locate_alternative(text, ident) == place
 
     def test_not_normalized_surfaces_on_materialize(self):
         doc = parse_lotteries("f : a@1/2, b@1/3")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -17,7 +18,13 @@ from partialpref.engine import (
     shift_reachable,
 )
 from partialpref.errors import DuplicateOfferName, UnknownAlternative
-from partialpref.lottery import Lottery, convex_combine, make_lottery
+from partialpref.lottery import (
+    Lottery,
+    convex_combine,
+    make_lottery,
+    mixture_instances,
+    mixture_table,
+)
 from partialpref.relation import FactKind, PrefFact, RelKind, build_base_relation
 
 from conftest import alt_names, random_grid_lottery, random_relation
@@ -474,6 +481,103 @@ class TestSaturate:
         assert provenance_digest.hexdigest() == (
             "8c220f985cea8a8f496c4fdecc681f13a7f3f78a703a5e6017cfc199ba13e4b6"
         )
+
+
+def seeding_cases(seed, count):
+    """(rel, family, pool) on 2-5 alternatives: grid lotteries, planted
+    mixtures of them and of degenerates, and some degenerates; ``pool``
+    is the family plus the degenerates of its supports, as in saturate."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rel = mixed_relation(rng)
+        alts = sorted(rel.universe)
+        base = [random_grid_lottery(rng, alts, rng.choice((2, 3, 4, 6))) for _ in range(3)]
+        degs = [deg(a) for a in rng.sample(alts, rng.randint(0, min(2, len(alts))))]
+        ends = base + degs
+        mids = [
+            convex_combine(F(rng.randint(1, 4), 5), *rng.sample(ends, 2))
+            for _ in range(rng.randint(1, 3))
+        ]
+        family = list(dict.fromkeys(base + mids + degs))
+        pool = list(dict.fromkeys(family + [deg(a) for lot in family for a, _ in lot.entries]))
+        yield rel, family, pool
+
+
+def reference_saturate(rel, family):
+    """``saturate`` with its seeds taken by calling ``dominates`` and
+    ``shift_reachable`` on every ordered pool pair."""
+    family = list(dict.fromkeys(family))
+    pool = list(dict.fromkeys(family + [deg(a) for lot in family for a, _ in lot.entries]))
+    weak, strict, prov = set(), set(), {}
+
+    def add(pair, rule, premises, is_strict=False):
+        if pair in (strict if is_strict else weak):
+            return False
+        weak.add(pair)
+        if is_strict:
+            strict.add(pair)
+        prov[pair] = (rule, premises)
+        return True
+
+    for x, y in itertools.permutations(range(len(pool)), 2):
+        if dominates(rel, pool[x], pool[y]):
+            add((x, y), "seed-dominance", (x, y))
+        plan = shift_reachable(rel, pool[x], pool[y])
+        if plan is not None:
+            add((x, y), "seed-shift", (x, y, plan), True)
+    table = mixture_table(pool)
+    mixes = list(mixture_instances(table, len(pool)))
+    changed = True
+    while changed:
+        changed = False
+        for axiom, (x, z), w in engine.consequences(table, mixes, len(pool), weak, strict):
+            is_strict = axiom in ("A3", "A5") or axiom == "A2" and x != z and (
+                (x, w[1]) in strict or (w[1], z) in strict)
+            changed |= add((x, z), axiom, w, is_strict)
+    m = len(family)
+    return (
+        {(pool[x], pool[y]) for x, y in weak if x < m and y < m},
+        {(pool[x], pool[y]) for x, y in strict if x < m and y < m},
+        [((pool[x], pool[y]), engine.Derivation(r, engine.lift(pool, p)))
+         for (x, y), (r, p) in prov.items()],
+    )
+
+
+class TestSaturateSeeding:
+    """``saturate`` seeds dominance by one subset test per pair and calls
+    ``shift_reachable`` only on pairs whose up-set masses allow a shift."""
+
+    def test_subset_test_is_dominance(self):
+        for rel, _, pool in seeding_cases(61, 80):
+            for f, g in itertools.product(pool, repeat=2):
+                above_all = frozenset.intersection(*(rel.up[a] for a in f.support()))
+                assert (g.support() <= above_all) == dominates(rel, f, g), (f, g)
+
+    def test_every_shift_passes_the_mass_test(self):
+        shifts = 0
+        for rel, _, pool in seeding_cases(62, 80):
+            mass = engine.up_masses(rel, pool)
+            for x, y in itertools.permutations(range(len(pool)), 2):
+                if shift_reachable(rel, pool[x], pool[y]) is not None:
+                    shifts += 1
+                    assert mass[x] != mass[y], (pool[x], pool[y])
+                    assert all(a <= b for a, b in zip(mass[x], mass[y])), (pool[x], pool[y])
+        assert shifts >= 200
+
+    def test_up_masses_are_up_set_weights(self):
+        for rel, _, pool in seeding_cases(63, 40):
+            alts = sorted({a for lot in pool for a, _ in lot.entries})
+            ups = list(dict.fromkeys(rel.up[a] & set(alts) for a in alts))
+            denom = math.lcm(*(w.denominator for lot in pool for _, w in lot.entries))
+            for lot, row in zip(pool, engine.up_masses(rel, pool)):
+                assert list(row) == [sum(lot.weight(a) for a in up) * denom for up in ups]
+
+    def test_facts_and_provenance_equal_the_unpruned_reference(self):
+        for rel, family, _ in seeding_cases(64, 120):
+            facts = saturate(rel, family)
+            weak, strict, provenance = reference_saturate(rel, family)
+            assert facts.weak == weak and facts.strict == strict
+            assert list(facts.provenance.items()) == provenance
 
 
 class TestMaximalFilter:

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from partialpref.errors import (
     NegativeWeight,
     NotNormalized,
 )
+from partialpref.errors import MalformedId
 from partialpref.lottery import (
     Lottery,
     convex_combine,
@@ -20,8 +22,38 @@ from partialpref.lottery import (
     make_lottery,
     mixture_table,
 )
+from partialpref.relation import check_id
 
-from conftest import alt_names, grid_lotteries
+from conftest import alt_names, grid_lotteries, random_grid_lottery
+
+
+def fraction_sum_lottery(pairs, normalize=False):
+    """``make_lottery`` as it was written on Fraction sums."""
+    acc = {}
+    for alternative, weight in pairs:
+        check_id(alternative)
+        w = F(weight)
+        if w < 0:
+            raise NegativeWeight(alternative, w)
+        acc[alternative] = acc.get(alternative, F(0)) + w
+    total = sum(acc.values(), F(0))
+    if total == 0:
+        raise EmptySupport()
+    if normalize:
+        acc = {a: w / total for a, w in acc.items()}
+    elif total != 1:
+        raise NotNormalized(total)
+    return Lottery(entries=tuple(sorted((a, w) for a, w in acc.items() if w > 0)))
+
+
+def outcome(build, pairs, normalize):
+    """What ``build`` returns, with the integer form it computes, or the
+    type, message and attributes of what it raises."""
+    try:
+        lot = build(pairs, normalize=normalize)
+    except (NegativeWeight, EmptySupport, NotNormalized, MalformedId) as exc:
+        return type(exc), str(exc), vars(exc)
+    return lot.entries, lot.integer_form
 
 
 class TestCachedHash:
@@ -77,6 +109,60 @@ class TestMakeLottery:
 
     def test_degenerate(self):
         assert Lottery.degenerate("a").weight("a") == 1
+
+
+class TestEquality:
+    def test_equal_entries_equal_and_other_values_not(self):
+        f = make_lottery([("a", F(1, 3)), ("b", F(2, 3))])
+        g = make_lottery([("b", F(4, 6)), ("a", F(1, 3))])
+        h = make_lottery([("a", F(2, 3)), ("b", F(1, 3))])
+        assert f == g and not f != g and f == f
+        assert f != h and not f == h
+        assert f.__eq__(f.entries) is NotImplemented
+        assert f != f.entries and f != "f" and f != None  # noqa: E711
+
+    def test_lotteries_with_equal_hashes_compare_entries(self):
+        f, g = Lottery.degenerate("a"), Lottery.degenerate("b")
+        vars(g)["_hash"] = f._hash
+        assert f != g and hash(f) == hash(g)
+
+
+class TestIntegerWeights:
+    """``make_lottery`` sums integer numerators; a Fraction-sum version is
+    the reference for its lottery, integer form, errors and messages."""
+
+    WEIGHTS = [F(0), F(1), F(2), F(-1), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4),
+               F(1, 6), F(5, 6), F(-1, 6), F(1, 12), F(7, 10), F(3, 10)]
+
+    def test_random_pairs_match_fraction_sums(self):
+        rng = random.Random(88)
+        kinds = set()
+        for _ in range(3000):
+            alts = ["a", "b", "c", "d", "e!"] if rng.random() < 0.02 else ["a", "b", "c", "d"]
+            pairs = [(rng.choice(alts), rng.choice(self.WEIGHTS))
+                     for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.3:  # complete to 1, so the unnormalized sum can hold
+                pairs.append((rng.choice(alts), 1 - sum((w for _, w in pairs), F(0))))
+            normalize = rng.random() < 0.5
+            got = outcome(make_lottery, pairs, normalize)
+            assert got == outcome(fraction_sum_lottery, pairs, normalize), (pairs, normalize)
+            kinds.add(got[0] if isinstance(got[0], type) else "lottery")
+        assert kinds == {"lottery", NegativeWeight, EmptySupport, NotNormalized, MalformedId}
+
+    def test_integer_form_is_the_one_computed_on_demand(self):
+        rng = random.Random(89)
+        for _ in range(200):
+            lot = random_grid_lottery(rng, alt_names(4), rng.choice((2, 6, 12)))
+            scaled = make_lottery([(a, w * 5) for a, w in lot.entries], normalize=True)
+            again = Lottery(entries=lot.entries)
+            assert lot == scaled == again
+            assert lot.integer_form == scaled.integer_form == again.integer_form
+            assert list(lot.integer_form[1]) == [a for a, _ in lot.entries]
+
+    def test_weights_given_as_strings_and_ints(self):
+        lot = make_lottery([("b", "1/4"), ("a", 0), ("b", "1/4"), ("c", F(1, 2))])
+        assert lot.entries == (("b", F(1, 2)), ("c", F(1, 2)))
+        assert lot.integer_form == (2, {"b": 1, "c": 1})
 
 
 class TestConvexCombine:
@@ -174,3 +260,50 @@ class TestMixtureTable:
         f = Lottery.degenerate("a")
         with pytest.raises(DegeneratePair):
             mixture_table([f, f])
+        g = Lottery.degenerate("b")
+        with pytest.raises(DegeneratePair):
+            mixture_table([g, f, convex_combine(F(1, 2), f, g), f])
+
+    @staticmethod
+    def brute_force_table(lots):
+        """Each ordered pair's row found by solving for alpha on one
+        alternative where the pair differs and checking with convex_combine."""
+        table = {}
+        for i, j in itertools.combinations(range(len(lots)), 2):
+            for x, y in ((i, j), (j, i)):
+                f, g = lots[x], lots[y]
+                a = next(a for a in sorted(f.support() | g.support()) if f.weight(a) != g.weight(a))
+                row = []
+                for k, h in enumerate(lots):
+                    alpha = (h.weight(a) - g.weight(a)) / (f.weight(a) - g.weight(a))
+                    if 0 <= alpha <= 1 and convex_combine(alpha, f, g) == h:
+                        row.append((k, alpha))
+                table[x, y] = row
+        return table
+
+    def test_matches_brute_force_with_planted_collinear_members(self):
+        rng = random.Random(90)
+        proper = 0
+        for _ in range(60):
+            alts = alt_names(rng.randint(2, 4))
+            lots = [random_grid_lottery(rng, alts, rng.choice((2, 3, 4))) for _ in range(3)]
+            lots += [Lottery.degenerate(a) for a in rng.sample(alts, 2)]
+            for _ in range(rng.randint(1, 4)):  # three or four collinear members
+                f, g = rng.sample(lots, 2)
+                lots.append(convex_combine(F(rng.randint(1, 5), 6), f, g))
+                lots.append(convex_combine(F(1, 2), f, lots[-1]))
+            lots = list(dict.fromkeys(lots))
+            rng.shuffle(lots)
+            table = mixture_table(lots)
+            assert list(table) == [
+                key for i, j in itertools.combinations(range(len(lots)), 2)
+                for key in ((i, j), (j, i))
+            ]
+            assert table == self.brute_force_table(lots)
+            proper += sum(len(row) - 2 for row in table.values())
+            for (i, j), row in table.items():
+                assert all(type(alpha) is F for _, alpha in row)
+                inner = {k: alpha for k, alpha in row if k not in (i, j)}
+                for k in rng.sample(range(len(lots)), min(3, len(lots))):
+                    assert decompose(lots[k], lots[i], lots[j]) == inner.get(k)
+        assert proper >= 2000, proper
