@@ -20,6 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
+from .dsl import token_column
 from .engine import REFUTES, AdmissibleSet, consequences, lift
 from .errors import (
     DslSyntaxError,
@@ -161,19 +162,19 @@ def parse_table(text: str) -> list[tuple[CaseTuple, frozenset[RelKind]]]:
         line = raw.strip()
         if not line or line.startswith("#!"):
             continue
-        head, sep, tail = line.partition("->")
+        head, sep, tail = raw.partition("->")
         if not sep:
-            raise DslSyntaxError(lineno, 1, "'<tuple> -> <set>'")
+            raise DslSyntaxError("'<tuple> -> <set>'").at(lineno, 1)
         lhs = head.strip()
         if len(lhs) != 4 or any(c not in _SYMBOL_KIND for c in lhs):
-            raise DslSyntaxError(lineno, 1, "four symbols from {~,<,>,#}")
+            raise DslSyntaxError("four symbols from {~,<,>,#}").at(lineno, token_column(head, 0))
         outcome = []
-        for token in tail.split():
-            if token not in _SYMBOL_KIND:
-                raise DslSyntaxError(lineno, line.index(token) + 1, "symbol from {~,<,>,#}")
+        for i, token in enumerate(tail.split()):
+            if token not in _SYMBOL_KIND:  # ``tail`` begins at index len(head) + 2
+                raise DslSyntaxError("symbol from {~,<,>,#}").at(lineno, len(head) + 2 + token_column(tail, i))
             outcome.append(_SYMBOL_KIND[token])
-        if not outcome:
-            raise DslSyntaxError(lineno, len(line), "nonempty outcome set")
+        if not outcome:  # placed at the arrow's '>'
+            raise DslSyntaxError("nonempty outcome set").at(lineno, len(head) + 2)
         rows.append((CaseTuple(*(_SYMBOL_KIND[c] for c in lhs)), frozenset(outcome)))
     return rows
 

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+_TOKEN_RE = re.compile(r"\S+")  # the tokens of str.split()
 
 # canonical ASCII operators, with unicode equivalents accepted on input
 _OPS = {
@@ -71,19 +72,10 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _column(line: str, token: str, start: int = 0) -> int:
-    idx = line.find(token, start)
-    return idx + 1 if idx >= 0 else len(line) + 1
-
-
-def _check_id_at(ident: str, lineno: int, line: str, start: int | None = 0) -> str:
-    """``check_id``; a malformed identifier is placed at its first occurrence
-    in ``line`` from index ``start``, or at its last if ``start`` is None."""
-    try:
-        return check_id(ident)
-    except MalformedId as exc:
-        col = line.rfind(ident) + 1 if start is None else _column(line, ident, start)
-        raise exc.at(lineno, col) from None
+def token_column(text: str, i: int) -> int:
+    """Column, counted from 1, of the ``i``-th token of ``text.split()``;
+    1 when ``text`` is blank."""
+    return ([m.start() for m in _TOKEN_RE.finditer(text)] or [0])[i] + 1
 
 
 def parse_prefs(text: str) -> PrefDocument:
@@ -100,39 +92,46 @@ def parse_prefs(text: str) -> PrefDocument:
         tokens = line.split()
         if not tokens:
             continue
-        if tokens[0] == "alt":
-            if len(tokens) != 2:
-                raise DslSyntaxError(lineno, _column(line, "alt") + 3, "a single identifier after 'alt'")
-            universe.append(_check_id_at(tokens[1], lineno, line, None))
-            continue
-        if len(tokens) != 3:
-            raise DslSyntaxError(lineno, 1, "'<id> (<|<=|~) <id>' or 'alt <id>'")
-        left, op, right = tokens
-        if op not in _OPS:
-            col = _column(line, op)
-            if op[0] in _OPS and len(op) > 1:
-                col += 1  # the first character parses; point at the stray one
-            raise DslSyntaxError(lineno, col, "operator <, <= or ~")
         try:
+            if tokens[0] == "alt":
+                if len(tokens) != 2:
+                    raise DslSyntaxError("a single identifier after 'alt'").at(lineno, token_column(line, 0) + 3)
+                universe.append(check_id(tokens[1]))
+                continue
+            if len(tokens) != 3:
+                raise DslSyntaxError("'<id> (<|<=|~) <id>' or 'alt <id>'").at(lineno, 1)
+            left, op, right = tokens
+            if op not in _OPS:
+                # when the first character parses, point at the stray one
+                stray = op[0] in _OPS and len(op) > 1
+                raise DslSyntaxError("operator <, <= or ~").at(lineno, token_column(line, 1) + stray)
             facts.append(PrefFact(_OPS[op], left, right))
-        except MalformedId as exc:  # left is checked first
-            col = _column(line, left) if exc.ident == left else line.rfind(right) + 1
-            raise exc.at(lineno, col) from None
+        except MalformedId as exc:  # left is checked first; right is the last token
+            raise exc.at(lineno, token_column(line, 0 if exc.ident == tokens[0] else -1)) from None
         positions.append((lineno, len(line) - len(line.lstrip()) + 1))
     return PrefDocument(tuple(facts), tuple(universe), tuple(positions))
 
 
-def _parse_rational(token: str, lineno: int, col: int) -> Fraction:
+def _parse_rational(token: str) -> Fraction:
+    """The exact rational ``token``; raises :class:`DslSyntaxError` unplaced."""
     if not _RATIONAL_RE.fullmatch(token):
-        raise DslSyntaxError(lineno, col, "exact rational p/q or integer (floats are rejected)")
+        raise DslSyntaxError("exact rational p/q or integer (floats are rejected)")
     try:
         num, den = map(int, token.split("/")) if "/" in token else (int(token), 1)
     except ValueError:  # more digits than the interpreter converts
-        limit = sys.get_int_max_str_digits()
-        raise DslSyntaxError(lineno, col, f"at most {limit} digits per integer") from None
+        raise DslSyntaxError(f"at most {sys.get_int_max_str_digits()} digits per integer") from None
     if den == 0:
-        raise DslSyntaxError(lineno, col, "nonzero denominator")
+        raise DslSyntaxError("nonzero denominator")
     return Fraction(num, den)
+
+
+def _items(tail: str, start: int):
+    """Each comma-separated item of ``tail``, the slice of a lottery line
+    that begins at index ``start``, as the index where the item begins and
+    its unstripped ``(<id>, "@", <rational>)`` fields."""
+    for part in tail.split(","):
+        yield start, part.partition("@")
+        start += len(part) + 1
 
 
 def parse_lotteries(text: str) -> LotteryDocument:
@@ -146,26 +145,27 @@ def parse_lotteries(text: str) -> LotteryDocument:
             continue
         head, sep, tail = line.partition(":")
         if not sep:
-            raise DslSyntaxError(lineno, len(line) + 1, "':' after the lottery name")
+            raise DslSyntaxError("':' after the lottery name").at(lineno, len(line) + 1)
         name = head.strip()
-        _check_id_at(name, lineno, line)
-        if name in names:
-            raise DuplicateName(name).at(lineno, _column(line, name))
+        try:
+            if check_id(name) in names:
+                raise DuplicateName(name)
+        except PrefError as exc:
+            raise exc.at(lineno, token_column(head, 0)) from None
         names.add(name)
         pairs = []
-        start = len(head) + 1  # index of the next part in the line
-        for part in tail.split(","):
-            item = part.strip()
-            if not item:
-                raise DslSyntaxError(lineno, _column(line, part) if part else len(line) + 1, "'<id>@<rational>'")
-            alt, at, weight = item.partition("@")
-            if not at:
-                raise DslSyntaxError(lineno, _column(line, item), "'@' between alternative and weight")
-            alt = alt.strip()
-            weight = weight.strip()
-            _check_id_at(alt, lineno, line, start)
-            pairs.append((alt, _parse_rational(weight, lineno, _column(line, weight))))
-            start += len(part) + 1
+        for start, (alt, at, weight) in _items(tail, len(head) + 1):
+            try:
+                ident = alt.strip()
+                if not at:  # an item without '@', or an empty one
+                    raise DslSyntaxError("'@' between alternative and weight" if ident else "'<id>@<rational>'")
+                check_id(ident)
+            except PrefError as exc:
+                raise exc.at(lineno, start + token_column(alt, 0)) from None
+            try:
+                pairs.append((ident, _parse_rational(weight.strip())))
+            except DslSyntaxError as exc:
+                raise exc.at(lineno, start + len(alt) + 1 + token_column(weight, 0)) from None
         entries.append((name, tuple(pairs)))
         positions.append((lineno, len(head) + len(tail) - len(tail.lstrip()) + 2))
     return LotteryDocument(tuple(entries), tuple(positions))
@@ -175,13 +175,10 @@ def locate_alternative(text: str, ident: str) -> tuple[int, int] | None:
     """(line, column) of the first mention of alternative ``ident`` in a
     lottery document that parses, or None if it is not mentioned."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        head, _, tail = line.partition(":")
-        start = len(head) + 1
-        for part in tail.split(","):
-            if part.partition("@")[0].strip() == ident:
-                return lineno, _column(line, ident, start)
-            start += len(part) + 1
+        head, _, tail = _strip_comment(raw).partition(":")
+        for start, (alt, _, _) in _items(tail, len(head) + 1):
+            if alt.strip() == ident:
+                return lineno, start + token_column(alt, 0)
     return None
 
 
@@ -228,18 +225,21 @@ def parse_model(text: str) -> tuple[LotteryDocument, tuple[tuple[str, str], ...]
         lottery_lines.append("")
         tokens = line.split()
         if len(tokens) != 3 or tokens[1] not in ("<=", "⪯"):
-            raise DslSyntaxError(lineno, 1, "'<name> : ...' or '<name> <= <name>'")
+            raise DslSyntaxError("'<name> : ...' or '<name> <= <name>'").at(lineno, 1)
         left, _, right = tokens
-        _check_id_at(left, lineno, line)
-        _check_id_at(right, lineno, line, None)
+        try:
+            check_id(left)
+            check_id(right)
+        except MalformedId as exc:
+            raise exc.at(lineno, token_column(line, 0 if exc.ident == left else -1)) from None
         relations.append((left, right, lineno, line))
     doc = parse_lotteries("\n".join(lottery_lines))
     declared = {name for name, _ in doc.entries}
     for left, right, lineno, line in relations:
         if left not in declared:
-            raise UnknownLotteryName(left).at(lineno, _column(line, left))
+            raise UnknownLotteryName(left).at(lineno, token_column(line, 0))
         if right not in declared:
-            raise UnknownLotteryName(right).at(lineno, line.rfind(right) + 1)
+            raise UnknownLotteryName(right).at(lineno, token_column(line, -1))
     return doc, tuple((left, right) for left, right, _, _ in relations)
 
 

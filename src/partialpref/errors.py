@@ -10,7 +10,8 @@ class PrefError(Exception):
     line = column = None
 
     def at(self, line, column):
-        """This error, placed at ``line`` and ``column`` of its input."""
+        """This error, placed at ``line`` and ``column`` of its input: its
+        message gains the prefix ``line L, column C:``."""
         self.line, self.column = line, column
         self.args = (f"line {line}, column {column}: {self}",)
         return self
@@ -118,10 +119,8 @@ class NotUtf8(PrefError):
 
 
 class DslSyntaxError(PrefError):
-    """Syntax error in one of the line-oriented input grammars."""
+    """Syntax error in an input grammar, placed through :meth:`PrefError.at`."""
 
-    def __init__(self, line, column, expected):
-        super().__init__(f"line {line}, column {column}: expected {expected}")
-        self.line = line
-        self.column = column
+    def __init__(self, expected):
+        super().__init__(f"expected {expected}")
         self.expected = expected

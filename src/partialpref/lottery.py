@@ -134,17 +134,11 @@ def make_lottery(pairs, normalize: bool = False) -> Lottery:
 
 
 def convex_combine(alpha, f: Lottery, g: Lottery) -> Lottery:
-    """Pointwise mixture alpha*f + (1-alpha)*g."""
+    """Pointwise mixture alpha*f + (1-alpha)*g, built by :func:`make_lottery`."""
     a = Fraction(alpha)
     if not (0 <= a <= 1):
         raise AlphaOutOfRange(a)
-    weights: dict[str, Fraction] = {}
-    for alt, w in f.entries:
-        weights[alt] = a * w
-    for alt, w in g.entries:
-        weights[alt] = weights.get(alt, ZERO) + (1 - a) * w
-    entries = tuple(sorted((alt, w) for alt, w in weights.items() if w > 0))
-    return Lottery(entries=entries)
+    return make_lottery([(x, a * w) for x, w in f.entries] + [(x, (1 - a) * w) for x, w in g.entries])
 
 
 def scale(lotteries) -> list[list[int]]:

@@ -19,7 +19,7 @@ from partialpref.casetable import (
     render_table,
     verify_table,
 )
-from partialpref.errors import ForeignLottery, InconsistentTuple, TableMismatch
+from partialpref.errors import DslSyntaxError, ForeignLottery, InconsistentTuple, TableMismatch
 from partialpref.lottery import Lottery, convex_combine, make_lottery
 from partialpref.relation import RelKind
 
@@ -137,6 +137,32 @@ class TestTableRegeneration:
 
         rendered = render_table([(t, Outcome(s)) for t, s in rows])
         assert rendered == bundled_table_text()
+
+
+class TestParseTableErrors:
+    """Each malformed row is placed by its line and its column in the raw
+    line; comment and blank lines count."""
+
+    @pytest.mark.parametrize(
+        "row, column, expected",
+        [
+            ("~~~~ ~", 1, "'<tuple> -> <set>'"),
+            ("~~x~ -> ~", 1, "four symbols from {~,<,>,#}"),
+            ("  ~~x~ -> ~", 3, "four symbols from {~,<,>,#}"),
+            ("~~~~ -> ~ ?", 11, "symbol from {~,<,>,#}"),
+            ("<<<< -> < <<", 11, "symbol from {~,<,>,#}"),
+            ("  ~~~~ -> ~ x", 13, "symbol from {~,<,>,#}"),
+            ("~~~~ ->  ", 7, "nonempty outcome set"),
+            ("\t~~~~ ->", 8, "nonempty outcome set"),
+        ],
+        ids=["missing-arrow", "bad-left", "bad-left-indented", "bad-symbol",
+             "symbol-text-earlier", "bad-symbol-indented", "empty-outcome", "empty-outcome-indented"],
+    )
+    def test_error_placed(self, row, column, expected):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_table(f"#! header\n\n~~~~ -> ~\n{row}\n~~~< -> <")
+        assert str(exc.value) == f"line 4, column {column}: expected {expected}"
+        assert (exc.value.line, exc.value.column) == (4, column)
 
 
 def reflexive_model(family):

@@ -224,9 +224,14 @@ class TestInputErrorsPlaced:
             ("check", "f : a@1\nf <= f\n\nf <= zz\n",
              "line 4, column 6: unknown lottery name in model: 'zz'"),
             ("filter", "f : a@1\n f : b@1\n", "line 2, column 2: duplicate name: 'f'"),
+            # the bad token's text also occurs earlier in its line
+            ("filter", "a : a@1/2, b@a\n",
+             "line 1, column 14: expected exact rational p/q or integer (floats are rejected)"),
+            ("validate", "a<< << b\n", "line 1, column 6: expected operator <, <= or ~"),
         ],
         ids=["malformed-id", "malformed-alternative", "not-normalized", "negative-weight",
-             "zero-weight", "unknown-model-name", "duplicate-name"],
+             "zero-weight", "unknown-model-name", "duplicate-name", "weight-text-earlier",
+             "stray-angle-text-earlier"],
     )
     def test_error_names_line_and_column(self, chain, tmp_path, command, text, message):
         path = tmp_path / "input.txt"

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partialpref.casetable import parse_table
 from partialpref.dsl import (
     LotteryDocument,
     PrefDocument,
@@ -198,6 +200,81 @@ class TestParseModel:
         with pytest.raises(UnknownLotteryName) as exc:
             parse_model("g <= f\nf : a@1\n  q <= f\ng : b@1")
         assert (exc.value.name, exc.value.line, exc.value.column) == ("q", 3, 3)
+
+
+def planted_error(rng, grammar):
+    """One line of ``grammar`` whose first error is a planted token whose
+    text also occurs earlier in the line: ``(line, token, index)``.  A
+    model gets a lottery line."""
+
+    def gap():
+        return rng.choice([" ", "  ", "\t", " \t "])
+
+    def ident():
+        return rng.choice(["a", "b", "ab", "x-1", "a_b"])
+
+    if grammar == "prefs":
+        # the left side is checked after the operator, so it may hold it
+        op = rng.choice([">", "=", "=>", "-", "><"])
+        before = rng.choice(["", " "]) + ident() + op + ident() + gap()
+        return before + op + gap() + ident(), op, len(before)
+    if grammar == "table":
+        lhs = "".join(rng.choice("~<>#") for _ in range(4))
+        i = rng.randrange(3)
+        bad = lhs[i:rng.randint(i + 2, 4)]
+        before = rng.choice(["", "  ", "\t"]) + lhs + gap() + "->"
+        before += "".join(gap() + rng.choice("~<>#") for _ in range(rng.randrange(3))) + gap()
+        return before + bad + gap(), bad, len(before)
+    name = ident()
+    alts = [ident() for _ in range(rng.randint(1, 3))]
+    before = rng.choice(["", " "]) + name + gap() + ":"
+    before += "".join(f"{gap()}{a}@{rng.choice(['1', '1/2', '0'])}," for a in alts)
+    after = rng.choice(["", gap(), ", b@1"])
+    kind = rng.choice(["weight", "missing @", "empty item"])
+    if kind == "empty item":
+        return before + rng.choice(["", gap()]) + after, "", len(before)
+    bad = rng.choice([name] + alts)  # no identifier is a rational
+    if kind == "weight":
+        before += gap() + ident() + "@"
+    before += gap()
+    return before + bad + after, bad, len(before)
+
+
+class TestColumns:
+    """An input error is placed at the first character of its token,
+    counted in the raw line, even when the token's text occurs earlier."""
+
+    @pytest.mark.parametrize(
+        "parse, line, column, expected",
+        [
+            (parse_lotteries, "a : a@1/2, b@a", 14, "exact rational"),
+            (parse_lotteries, "ab : ab", 6, "'@' between"),
+            (parse_lotteries, "f : a@1,,b@1", 9, "'<id>@<rational>'"),
+            (parse_prefs, "a<< << b", 6, "operator"),
+        ],
+        ids=["weight", "missing-at", "empty-item", "stray-angle"],
+    )
+    def test_token_text_also_earlier(self, parse, line, column, expected):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(line)
+        assert (exc.value.line, exc.value.column) == (1, column)
+        assert str(exc.value).startswith(f"line 1, column {column}: expected {expected}")
+
+    @pytest.mark.parametrize("grammar", ["prefs", "lotteries", "model", "table"])
+    def test_planted_token_placed(self, grammar):
+        rng = random.Random(f"columns-{grammar}")
+        parse = {"prefs": parse_prefs, "lotteries": parse_lotteries,
+                 "model": parse_model, "table": parse_table}[grammar]
+        # a model's lottery lines follow the lottery grammar
+        head = "f : a@1\nf <= f\n" if grammar == "model" else ""
+        for _ in range(300):
+            line, token, index = planted_error(rng, grammar)
+            with pytest.raises(DslSyntaxError) as exc:
+                parse(head + line)
+            assert exc.value.line == head.count("\n") + 1
+            assert exc.value.column == index + 1, line
+            assert line[exc.value.column - 1:].startswith(token)
+            assert token in line[:index]
 
 
 class TestRenderVerdict:

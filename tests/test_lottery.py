@@ -193,6 +193,24 @@ class TestConvexCombine:
         for alpha in (F(0), F(1, 3), F(2, 5), F(1)):
             assert convex_combine(alpha, f, g) == convex_combine(1 - alpha, g, f)
 
+    def test_matches_pointwise_fraction_mixture(self):
+        # built through make_lottery, the mixture carries its integer form
+        rng = random.Random(91)
+        for _ in range(500):
+            alts = alt_names(rng.randint(1, 4))
+            f, g = (random_grid_lottery(rng, alts, rng.randint(1, 12)) for _ in range(2))
+            alpha = F(rng.randint(0, 7), 7)
+            weights = dict.fromkeys(alts, F(0))
+            for a, w in f.entries:
+                weights[a] += alpha * w
+            for a, w in g.entries:
+                weights[a] += (1 - alpha) * w
+            expected = Lottery(tuple((a, w) for a, w in weights.items() if w))
+            mixed = convex_combine(alpha, f, g)
+            assert mixed.entries == expected.entries and hash(mixed) == hash(expected)
+            assert "integer_form" in vars(mixed)
+            assert mixed.integer_form == expected.integer_form
+
 
 class TestDecompose:
     def test_midpoint(self):
