@@ -30,7 +30,7 @@ from .errors import (
 )
 from .lottery import Lottery, mixture_instances, mixture_table
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
-from .relation import KIND_INDEX, KIND_ORDER, RelKind, classify_pair, render_symbols
+from .relation import _KIND, KIND_INDEX, KIND_ORDER, RelKind, render_symbols
 
 __all__ = [
     "CaseTuple",
@@ -69,39 +69,42 @@ def _sort_key(t: CaseTuple):
     return tuple(KIND_INDEX[k] for k in t)
 
 
+# the cross draws (f1,g1), (f1,g2), (f2,g1), (f2,g2) as element pairs
+_DRAWS = ((0, 2), (0, 3), (1, 2), (1, 3))
+
+
+def _closed(row_a: int, b: int, row_b: int) -> bool:
+    """Row ``row_a`` of some a and row ``row_b`` of b keep a <= b <= c
+    transitive: b in row a implies row b within row a."""
+    return not row_a >> b & 1 or row_b & row_a == row_b
+
+
 @lru_cache(maxsize=None)
 def consistent_tuples() -> tuple[CaseTuple, ...]:
     """All draw tuples realizable by some preorder on {f1, f2, g1, g2}.
 
-    Enumerates the 4096 reflexive relations over the 12 free ordered
-    pairs, keeps the transitive ones, and projects each onto the four
+    Writes a reflexive relation on the elements 0..3 (f1, f2, g1, g2) as
+    four 4-bit row masks, bit b of row a set iff a <= b, so each row has
+    8 choices.  Transitivity is the pairwise condition "b in row a implies
+    row b within row a", so the rows are chosen element by element and a
+    partial choice is dropped as soon as two of its rows break it; the 355
+    preorders on four elements survive.  Each is projected onto the four
     cross draws.  Output is sorted lexicographically under the canonical
     symbol order, which coincides with row-major reading of the table.
     """
-    f1, f2, g1, g2 = range(4)
-    elems = (f1, f2, g1, g2)
-    free = [(a, b) for a in elems for b in elems if a != b]
-    found: set[CaseTuple] = set()
-    for bits in range(1 << len(free)):
-        weak = {(a, a) for a in elems}
-        for i, pair in enumerate(free):
-            if bits >> i & 1:
-                weak.add(pair)
-        if any(
-            (a, c) not in weak
-            for (a, b) in weak
-            for (b2, c) in weak
-            if b == b2
-        ):
-            continue
-        found.add(
-            CaseTuple(
-                classify_pair(weak, f1, g1),
-                classify_pair(weak, f1, g2),
-                classify_pair(weak, f2, g1),
-                classify_pair(weak, f2, g2),
-            )
-        )
+    preorders = [()]
+    for a in range(4):
+        preorders = [
+            rows + (row,)
+            for rows in preorders
+            for row in range(16)
+            if row >> a & 1
+            and all(_closed(rows[b], a, row) and _closed(row, b, rows[b]) for b in range(a))
+        ]
+    found = {
+        CaseTuple(*(_KIND[rows[f] >> g & 1][rows[g] >> f & 1] for f, g in _DRAWS))
+        for rows in preorders
+    }
     return tuple(sorted(found, key=_sort_key))
 
 
@@ -156,8 +159,10 @@ _SYMBOL_KIND = {k.symbol: k for k in KIND_ORDER}
 
 def parse_table(text: str) -> list[tuple[CaseTuple, frozenset[RelKind]]]:
     """Parse the table transcription format; blank and ``#!``-prefixed
-    comment lines are ignored (``#`` alone is the incomparability symbol)."""
+    comment lines are ignored (``#`` alone is the incomparability symbol).
+    A well-formed row whose left side has an earlier row is an error."""
     rows = []
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#!"):
@@ -175,6 +180,10 @@ def parse_table(text: str) -> list[tuple[CaseTuple, frozenset[RelKind]]]:
             outcome.append(_SYMBOL_KIND[token])
         if not outcome:  # placed at the arrow's '>'
             raise DslSyntaxError("nonempty outcome set").at(lineno, len(head) + 2)
+        first = first_line.setdefault(lhs, lineno)
+        if first != lineno:  # placed at the second copy's left side
+            raise DslSyntaxError(f"one row per left side: {lhs!r} is also on line {first}").at(
+                lineno, token_column(head, 0))
         rows.append((CaseTuple(*(_SYMBOL_KIND[c] for c in lhs)), frozenset(outcome)))
     return rows
 

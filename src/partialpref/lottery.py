@@ -110,7 +110,7 @@ def make_lottery(pairs, normalize: bool = False) -> Lottery:
     parts = []
     for alternative, weight in pairs:
         check_id(alternative)
-        w = Fraction(weight)
+        w = weight if isinstance(weight, Fraction) else Fraction(weight)
         if w.numerator < 0:
             raise NegativeWeight(alternative, w)
         parts.append((alternative, w.numerator, w.denominator))

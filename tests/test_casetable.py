@@ -21,9 +21,9 @@ from partialpref.casetable import (
 )
 from partialpref.errors import DslSyntaxError, ForeignLottery, InconsistentTuple, TableMismatch
 from partialpref.lottery import Lottery, convex_combine, make_lottery
-from partialpref.relation import RelKind
+from partialpref.relation import KIND_INDEX, RelKind, classify_pair
 
-from conftest import eu_utility, lottery_utility, random_grid_lottery
+from conftest import all_relations, alt_names, eu_utility, lottery_utility, random_grid_lottery
 
 E, L, G, I = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP
 
@@ -33,6 +33,19 @@ def case(*kinds):
 
 
 class TestConsistentTuples:
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 29), (4, 355)])
+    def test_reference_counts_preorders(self, n, count):
+        assert len(all_relations(n)) == count  # OEIS A000798
+
+    def test_equals_reference_enumeration(self):
+        # the 4,096 reflexive relations on f1, f2, g1, g2 filtered for transitivity
+        f1, f2, g1, g2 = alt_names(4)
+        found = {
+            case(*(classify_pair(rel.weak, f, g) for f, g in ((f1, g1), (f1, g2), (f2, g1), (f2, g2))))
+            for rel in all_relations(4)
+        }
+        assert consistent_tuples() == tuple(sorted(found, key=lambda t: [KIND_INDEX[k] for k in t]))
+
     def test_all_equiv_present(self):
         assert case(E, E, E, E) in consistent_tuples()
 
@@ -154,9 +167,12 @@ class TestParseTableErrors:
             ("  ~~~~ -> ~ x", 13, "symbol from {~,<,>,#}"),
             ("~~~~ ->  ", 7, "nonempty outcome set"),
             ("\t~~~~ ->", 8, "nonempty outcome set"),
+            ("~~~~ -> < >", 1, "one row per left side: '~~~~' is also on line 3"),
+            ("  ~~~~ -> ~", 3, "one row per left side: '~~~~' is also on line 3"),
         ],
         ids=["missing-arrow", "bad-left", "bad-left-indented", "bad-symbol",
-             "symbol-text-earlier", "bad-symbol-indented", "empty-outcome", "empty-outcome-indented"],
+             "symbol-text-earlier", "bad-symbol-indented", "empty-outcome", "empty-outcome-indented",
+             "repeated-left", "repeated-left-indented"],
     )
     def test_error_placed(self, row, column, expected):
         with pytest.raises(DslSyntaxError) as exc:

@@ -161,6 +161,13 @@ class TestTable:
         assert code == 3
         assert "~~~~" in err
 
+    def test_verify_repeated_row_exits_1(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("~~~~ -> < >\n" + bundled_table_text())
+        assert invoke("table", "--verify", str(path)) == (
+            1, "", "line 2, column 1: expected one row per left side: '~~~~' is also on line 1\n"
+        )
+
 
 class TestCheck:
     def test_clean_model_exits_0(self, chain, tmp_path):
