@@ -20,7 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import NamedTuple
 
-from .dsl import token_column
+from .dsl import split_lines, token_column
 from .engine import REFUTES, AdmissibleSet, consequences, lift
 from .errors import (
     DslSyntaxError,
@@ -163,7 +163,7 @@ def parse_table(text: str) -> list[tuple[CaseTuple, frozenset[RelKind]]]:
     A well-formed row whose left side has an earlier row is an error."""
     rows = []
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#!"):
             continue

@@ -67,8 +67,8 @@ def _read_text(path: Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise NotUtf8(path, line, exc.start - data.rfind(b"\n", 0, exc.start)) from None
+        lines = dsl.split_lines(data[: exc.start].decode("utf-8"))
+        raise NotUtf8(path, len(lines), len(lines[-1].encode("utf-8")) + 1) from None
 
 
 def _load_relation(path: Path):
@@ -156,7 +156,7 @@ def _cmd_check(args, out, err) -> int:
     weak = frozenset((lots[left], lots[right]) for left, right in pairs)
     model = casetable.FiniteModel(family=tuple(lots.values()), weak=weak)
     violations = casetable.check_axioms(model, rel)
-    name_of = {lot: name for name, lot in lots.items()}
+    name_of = {lot: name for name, lot in reversed(lots.items())}  # the first name wins
 
     def label(w):
         return name_of.get(w, str(w))

@@ -67,9 +67,20 @@ class LotteryDocument:
     positions: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, ended only by ``\\n``, ``\\r\\n`` or ``\\r``, the
+    last one possibly empty; other line separators are whitespace."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
+
+
+def numbered_lines(text: str):
+    """``(line number, line)`` of each line of ``text`` not blank once its ``#`` comment is cut."""
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = raw.partition("#")[0]
+        if line and not line.isspace():
+            yield lineno, line
 
 
 def token_column(text: str, i: int) -> int:
@@ -87,11 +98,8 @@ def parse_prefs(text: str) -> PrefDocument:
     facts: list[PrefFact] = []
     positions: list[tuple[int, int]] = []
     universe: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+    for lineno, line in numbered_lines(text):
         tokens = line.split()
-        if not tokens:
-            continue
         try:
             if tokens[0] == "alt":
                 if len(tokens) != 2:
@@ -134,48 +142,48 @@ def _items(tail: str, start: int):
         start += len(part) + 1
 
 
+def _lottery_line(lineno: int, line: str, entries: dict, positions: list) -> None:
+    """Read the lottery line ``line``, numbered ``lineno``, into ``entries``
+    (name to pairs, in file order) and ``positions``."""
+    head, sep, tail = line.partition(":")
+    if not sep:
+        raise DslSyntaxError("':' after the lottery name").at(lineno, len(line) + 1)
+    name = head.strip()
+    try:
+        if check_id(name) in entries:
+            raise DuplicateName(name)
+    except PrefError as exc:
+        raise exc.at(lineno, token_column(head, 0)) from None
+    pairs = []
+    for start, (alt, at, weight) in _items(tail, len(head) + 1):
+        try:
+            ident = alt.strip()
+            if not at:  # an item without '@', or an empty one
+                raise DslSyntaxError("'@' between alternative and weight" if ident else "'<id>@<rational>'")
+            check_id(ident)
+        except PrefError as exc:
+            raise exc.at(lineno, start + token_column(alt, 0)) from None
+        try:
+            pairs.append((ident, _parse_rational(weight.strip())))
+        except DslSyntaxError as exc:
+            raise exc.at(lineno, start + len(alt) + 1 + token_column(weight, 0)) from None
+    entries[name] = tuple(pairs)
+    positions.append((lineno, len(head) + len(tail) - len(tail.lstrip()) + 2))
+
+
 def parse_lotteries(text: str) -> LotteryDocument:
     """Parse a lottery document: ``<name> : <id>@<rational>(, ...)*`` per line."""
-    entries = []
-    positions = []
-    names = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line.strip():
-            continue
-        head, sep, tail = line.partition(":")
-        if not sep:
-            raise DslSyntaxError("':' after the lottery name").at(lineno, len(line) + 1)
-        name = head.strip()
-        try:
-            if check_id(name) in names:
-                raise DuplicateName(name)
-        except PrefError as exc:
-            raise exc.at(lineno, token_column(head, 0)) from None
-        names.add(name)
-        pairs = []
-        for start, (alt, at, weight) in _items(tail, len(head) + 1):
-            try:
-                ident = alt.strip()
-                if not at:  # an item without '@', or an empty one
-                    raise DslSyntaxError("'@' between alternative and weight" if ident else "'<id>@<rational>'")
-                check_id(ident)
-            except PrefError as exc:
-                raise exc.at(lineno, start + token_column(alt, 0)) from None
-            try:
-                pairs.append((ident, _parse_rational(weight.strip())))
-            except DslSyntaxError as exc:
-                raise exc.at(lineno, start + len(alt) + 1 + token_column(weight, 0)) from None
-        entries.append((name, tuple(pairs)))
-        positions.append((lineno, len(head) + len(tail) - len(tail.lstrip()) + 2))
-    return LotteryDocument(tuple(entries), tuple(positions))
+    entries, positions = {}, []
+    for lineno, line in numbered_lines(text):
+        _lottery_line(lineno, line, entries, positions)
+    return LotteryDocument(tuple(entries.items()), tuple(positions))
 
 
 def locate_alternative(text: str, ident: str) -> tuple[int, int] | None:
     """(line, column) of the first mention of alternative ``ident`` in a
     lottery document that parses, or None if it is not mentioned."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        head, _, tail = _strip_comment(raw).partition(":")
+    for lineno, line in numbered_lines(text):
+        head, _, tail = line.partition(":")
         for start, (alt, _, _) in _items(tail, len(head) + 1):
             if alt.strip() == ident:
                 return lineno, start + token_column(alt, 0)
@@ -209,20 +217,15 @@ def parse_model(text: str) -> tuple[LotteryDocument, tuple[tuple[str, str], ...]
     """Parse an explicit finite model file.
 
     Lottery lines follow the lottery grammar; relation lines are
-    ``<name> <= <name>`` between declared lottery names, and any other
-    name is an error placed at its line and column.
+    ``<name> <= <name>``.  Lines are read once, in file order; names are
+    checked after the last, as a relation may precede its lotteries.
     """
-    lottery_lines = []
+    entries, positions = {}, []
     relations = []  # (left, right, line number, line)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line.strip():
-            lottery_lines.append("")
-            continue
+    for lineno, line in numbered_lines(text):
         if ":" in line:
-            lottery_lines.append(raw)
+            _lottery_line(lineno, line, entries, positions)
             continue
-        lottery_lines.append("")
         tokens = line.split()
         if len(tokens) != 3 or tokens[1] not in ("<=", "⪯"):
             raise DslSyntaxError("'<name> : ...' or '<name> <= <name>'").at(lineno, 1)
@@ -233,13 +236,12 @@ def parse_model(text: str) -> tuple[LotteryDocument, tuple[tuple[str, str], ...]
         except MalformedId as exc:
             raise exc.at(lineno, token_column(line, 0 if exc.ident == left else -1)) from None
         relations.append((left, right, lineno, line))
-    doc = parse_lotteries("\n".join(lottery_lines))
-    declared = {name for name, _ in doc.entries}
     for left, right, lineno, line in relations:
-        if left not in declared:
+        if left not in entries:
             raise UnknownLotteryName(left).at(lineno, token_column(line, 0))
-        if right not in declared:
+        if right not in entries:
             raise UnknownLotteryName(right).at(lineno, token_column(line, -1))
+    doc = LotteryDocument(tuple(entries.items()), tuple(positions))
     return doc, tuple((left, right) for left, right, _, _ in relations)
 
 

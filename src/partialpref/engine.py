@@ -307,11 +307,8 @@ def consequences(table, mixes, size, weak, strict):
     # mixing a strict pair with itself: more weight on the worse side is worse
     for f, g in sorted(strict):
         row = table[f, g]
-        # compare the row's alphas as integers over one common denominator
-        denom = lcm(*(alpha.denominator for _, alpha in row))
-        nums = [alpha.numerator * (denom // alpha.denominator) for _, alpha in row]
-        for (h1, beta), b in zip(row, nums):
-            for (h2, alpha), a in zip(row, nums):
+        for h1, beta, b in row:
+            for h2, alpha, a in row:
                 if b > a and (h1, h2) not in strict:
                     yield "A3", (h1, h2), (f, g, alpha, beta, h1, h2)
     # mixing two weak facts / a strict with a weak fact at a shared alpha

@@ -190,16 +190,16 @@ def decompose(h: Lottery, f: Lottery, g: Lottery):
     return Fraction(k, steps) if d == direction and k < steps else None
 
 
-def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction, int]]]:
     """Every mixture relation among a list of distinct lotteries, by index.
 
-    Maps each ordered index pair (i, j), i != j, to the list of (k, alpha),
-    k ascending, with ``lotteries[k] = alpha*lotteries[i] +
-    (1-alpha)*lotteries[j]``; the boundaries (i, 1) and (j, 0) are
+    Maps each ordered index pair (i, j), i != j, to the list of
+    (k, alpha, n), k ascending, with ``lotteries[k] = alpha*lotteries[i] +
+    (1-alpha)*lotteries[j]``; the boundaries (i, 1, _) and (j, 0, 0) are
     included.  Weights are scaled to integers over their common
     denominator; from each base i the other vectors are grouped by their
     ray (:func:`_ray`), so k lies between i and j iff it is on j's ray
-    from i in at most as many steps as j, and alpha counts those steps.
+    from i in at most as many steps as j, and alpha is n of j's steps.
     Keys are inserted in ``combinations`` order, (i, j) before (j, i).
     """
     vectors = scale(lotteries)
@@ -217,8 +217,8 @@ def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction]]
             row = [(k, s) for k, s in on_ray[direction] if s <= steps]
             row.append((i, 0))
             row.sort()
-            table[i, j] = [(k, fraction(steps - s, steps)) for k, s in row]
-            table[j, i] = [(k, fraction(s, steps)) for k, s in row]
+            table[i, j] = [(k, fraction(steps - s, steps), steps - s) for k, s in row]
+            table[j, i] = [(k, fraction(s, steps), s) for k, s in row]
     return table
 
 
@@ -234,7 +234,7 @@ def mixture_instances(table, size: int):
     """
     splits: dict[Fraction, list[list[tuple[int, int]]]] = {}
     for (x, y), row in table.items():
-        for h, alpha in row:
+        for h, alpha, _ in row:
             if h != x and h != y:
                 if alpha not in splits:
                     splits[alpha] = [[(m, m)] for m in range(size)]

@@ -43,6 +43,7 @@ class RelKind(Enum):
     LESS = "<"
     GREATER = ">"
     INCOMP = "#"
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
     @property
     def symbol(self) -> str:

@@ -209,6 +209,13 @@ class TestCheck:
         assert axioms == sorted(axioms)  # grouped by axiom, A1' first
         assert {"A1'", "A2", "A3", "A4", "A5", "A6"} <= set(axioms)
 
+    def test_witness_labelled_by_first_name(self, tmp_path):
+        prefs = tmp_path / "ab.prefs"
+        prefs.write_text("alt a\nalt b\n")
+        path = tmp_path / "model.txt"
+        path.write_text("f : a@1\ng : a@1\nh : b@1\nh <= h\n")
+        assert invoke("check", str(prefs), str(path)) == (4, "A1': f\n", "")
+
     def test_unknown_model_name_exits_1(self, chain, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("f : a@1\nf <= q\n")
@@ -284,6 +291,16 @@ class TestNotUtf8:
         code, out, err = invoke(*argv)
         assert (code, out) == (1, "")
         assert err == f"{bad}: line 2, column 6: expected UTF-8 text\n"
+
+    @pytest.mark.parametrize(
+        "data, place",
+        [(b"a < b\rc \xff\n", "line 2, column 3"), (b"a < b\r\n\xc3\xa9 \xff", "line 2, column 4")],
+        ids=["cr", "column-counts-bytes"],
+    )
+    def test_placed_by_line_ends_and_bytes(self, tmp_path, data, place):
+        bad = tmp_path / "bad.prefs"
+        bad.write_bytes(data)
+        assert invoke("validate", str(bad)) == (1, "", f"{bad}: {place}: expected UTF-8 text\n")
 
 
 class TestSaturate:

@@ -201,6 +201,55 @@ class TestParseModel:
             parse_model("g <= f\nf : a@1\n  q <= f\ng : b@1")
         assert (exc.value.name, exc.value.line, exc.value.column) == ("q", 3, 3)
 
+    def test_first_syntax_error_in_file_order(self):
+        # a lottery line's error comes before a later relation line's
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_model("f : a@x\nf <=")
+        assert str(exc.value).startswith("line 1, column 7: expected exact rational")
+
+
+# the line separators of str.splitlines that are not line ends in a file
+SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    """Lines end only at \\n, \\r\\n and \\r; every other separator is
+    whitespace inside its line."""
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=ascii)
+    @pytest.mark.parametrize(
+        "parse, first, second, column",
+        [(parse_prefs, "a < b", "x << y", 4), (parse_table, "~~~~ -> ~", "<<<< -> < x", 11)],
+        ids=["prefs", "table"],
+    )
+    def test_separator_does_not_end_a_line(self, parse, first, second, column, sep):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(first + sep + "\n" + second)
+        assert (exc.value.line, exc.value.column) == (2, column)
+
+    @pytest.mark.parametrize("sep", SEPARATORS, ids=ascii)
+    def test_separator_is_whitespace(self, sep):
+        assert parse_prefs("a <" + sep + "b").facts == (PrefFact(FactKind.STRICT, "a", "b"),)
+
+    GRAMMARS = {
+        parse_prefs: ("# head\n\na < b\n  c <= d # tail\nalt e\n", "a < b\n\nx << y\n"),
+        parse_lotteries: ("f : a@1\n\n # x\n g :  a@1/2, b@1/2\n", "f : a@1\n\ng : a@x"),
+        parse_model: ("f : a@1\n\nf <= g\ng : b@1\n", "f : a@1\n# x\nf < f"),
+        parse_table: ("#! head\n\n~~~~ -> ~\n  ~~~< -> <\n", "~~~~ -> ~\n\n<<<< -> < x\n"),
+    }
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("parse", GRAMMARS, ids=lambda parse: parse.__name__)
+    def test_crlf_and_cr_read_like_lf(self, parse, end):
+        good, bad = self.GRAMMARS[parse]
+        # the repr shows the places, which equality leaves out
+        assert repr(parse(good.replace("\n", end))) == repr(parse(good))
+        with pytest.raises(DslSyntaxError) as lf:
+            parse(bad)
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(bad.replace("\n", end))
+        assert str(exc.value) == str(lf.value)
+
 
 def planted_error(rng, grammar):
     """One line of ``grammar`` whose first error is a planted token whose

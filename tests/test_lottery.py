@@ -254,6 +254,15 @@ class TestGridRoundTrip:
 
 
 class TestMixtureTable:
+    @staticmethod
+    def alphas(row):
+        """The ``(k, alpha)`` of each ``(k, alpha, n)`` in ``row``, after
+        checking that each n is its alpha times one step count: the n of
+        the boundary whose alpha is 1."""
+        steps = max(n for _, _, n in row)
+        assert steps > 0 and all(type(n) is int and n == alpha * steps for _, alpha, n in row)
+        return [(k, alpha) for k, alpha, _ in row]
+
     def test_matches_convex_combine_on_quarter_grid(self):
         # on the 1/4 grid every coefficient linking three members is p/q
         # with q <= 4, so these candidates are exhaustive
@@ -268,6 +277,7 @@ class TestMixtureTable:
                 k = position.get(convex_combine(alpha, lots[i], lots[j]))
                 if k is not None:
                     expected.append((k, alpha))
+            row = self.alphas(row)
             assert row == sorted(expected), (i, j)
             assert all(type(alpha) is F for _, alpha in row)
             proper = {k: alpha for k, alpha in row if k not in (i, j)}
@@ -317,9 +327,10 @@ class TestMixtureTable:
                 key for i, j in itertools.combinations(range(len(lots)), 2)
                 for key in ((i, j), (j, i))
             ]
-            assert table == self.brute_force_table(lots)
-            proper += sum(len(row) - 2 for row in table.values())
-            for (i, j), row in table.items():
+            rows = {key: self.alphas(row) for key, row in table.items()}
+            assert rows == self.brute_force_table(lots)
+            proper += sum(len(row) - 2 for row in rows.values())
+            for (i, j), row in rows.items():
                 assert all(type(alpha) is F for _, alpha in row)
                 inner = {k: alpha for k, alpha in row if k not in (i, j)}
                 for k in rng.sample(range(len(lots)), min(3, len(lots))):
