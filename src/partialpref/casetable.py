@@ -15,10 +15,8 @@ transcription shipped in ``data/case_table.txt`` byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from importlib import resources
-from typing import NamedTuple
 
 from .dsl import split_lines, token_column
 from .engine import REFUTES, AdmissibleSet, consequences, lift
@@ -28,7 +26,7 @@ from .errors import (
     InconsistentTuple,
     TableMismatch,
 )
-from .lottery import Lottery, mixture_instances, mixture_table
+from .lottery import mixture_instances, mixture_table
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
 from .relation import _KIND, KIND_INDEX, KIND_ORDER, RelKind, render_symbols
 
@@ -47,13 +45,11 @@ __all__ = [
 ]
 
 
-class CaseTuple(NamedTuple):
-    """Judgments of the four draws (f1,g1), (f1,g2), (f2,g1), (f2,g2)."""
+class CaseTuple(namedtuple("CaseTuple", "d11 d12 d21 d22")):
+    """Judgments (:class:`RelKind`) of the four draws (f1,g1), (f1,g2),
+    (f2,g1), (f2,g2)."""
 
-    d11: RelKind
-    d12: RelKind
-    d21: RelKind
-    d22: RelKind
+    __slots__ = ()
 
     def mirror(self) -> "CaseTuple":
         """Relabel f <-> g: swap Less/Greater and transpose the off draws."""
@@ -190,6 +186,8 @@ def parse_table(text: str) -> list[tuple[CaseTuple, frozenset[RelKind]]]:
 
 def bundled_table_text() -> str:
     """The reviewed transcription shipped with the package."""
+    from importlib import resources  # here, not at the top: it slows every cold start
+
     return resources.files("partialpref").joinpath("data/case_table.txt").read_text("utf-8")
 
 
@@ -216,20 +214,17 @@ def verify_table(transcription_text: str | None = None) -> list[tuple[CaseTuple,
     return computed
 
 
-@dataclass(frozen=True)
-class FiniteModel:
-    """An explicit candidate relation <= over a finite lottery family."""
+class FiniteModel(namedtuple("FiniteModel", "family weak")):
+    """An explicit candidate relation <= (``weak``, pairs of lotteries) over
+    a finite lottery family."""
 
-    family: tuple[Lottery, ...]
-    weak: frozenset[tuple[Lottery, Lottery]]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(namedtuple("AxiomViolation", "axiom witnesses")):
     """A failed axiom instance; witnesses allow replaying the check."""
 
-    axiom: str
-    witnesses: tuple
+    __slots__ = ()
 
     def __str__(self):
         parts = ", ".join(str(w) for w in self.witnesses)

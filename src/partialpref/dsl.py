@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .engine import AdmissibleSet
@@ -23,7 +23,15 @@ from .errors import (
     UnknownLotteryName,
 )
 from .lottery import Lottery, make_lottery
-from .relation import BaseRelation, FactKind, PrefFact, build_base_relation, check_id, render_symbols
+from .relation import (
+    BaseRelation,
+    FactKind,
+    PrefFact,
+    _LastFieldAside,
+    build_base_relation,
+    check_id,
+    render_symbols,
+)
 
 __all__ = [
     "PrefDocument",
@@ -52,19 +60,23 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class PrefDocument:
-    facts: tuple[PrefFact, ...]
-    universe_decls: tuple[str, ...]
-    # (line, column) of each fact
-    positions: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+class PrefDocument(
+    _LastFieldAside, namedtuple("PrefDocument", "facts universe_decls positions", defaults=((),))
+):
+    """A parsed preference file: its facts and ``alt`` declarations, and the
+    (line, column) of each fact, which takes no part in equality."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LotteryDocument:
-    entries: tuple[tuple[str, tuple[tuple[str, Fraction], ...]], ...]
-    # (line, column) of each distribution
-    positions: tuple[tuple[int, int], ...] = field(default=(), compare=False)
+class LotteryDocument(
+    _LastFieldAside, namedtuple("LotteryDocument", "entries positions", defaults=((),))
+):
+    """A parsed lottery file: (name, (alternative, weight) pairs) per
+    distribution, and the (line, column) of each, which takes no part in
+    equality."""
+
+    __slots__ = ()
 
 
 def split_lines(text: str) -> list[str]:

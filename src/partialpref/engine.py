@@ -16,8 +16,7 @@ Lifts the base preorder on alternatives to lottery pairs:
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
@@ -26,7 +25,7 @@ from operator import le
 from .errors import DuplicateOfferName
 from .lottery import Lottery, mixture_instances, mixture_table, scale
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
-from .relation import _KIND, BaseRelation, RelKind
+from .relation import _KIND, BaseRelation, RelKind, _LastFieldAside
 
 __all__ = [
     "AdmissibleSet",
@@ -68,16 +67,15 @@ _ALL_KINDS = frozenset(RelKind)
 _ONLY_LESS = frozenset({RelKind.LESS})
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
+class AdmissibleSet(namedtuple("AdmissibleSet", "members provenance")):
     """Nonempty subset of the four judgment symbols plus rule provenance."""
 
-    members: frozenset[RelKind]
-    provenance: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.members:
+    def __new__(cls, members: frozenset[RelKind], provenance: tuple[str, ...] = ()):
+        if not members:
             raise ValueError("admissible set must be nonempty")
+        return super().__new__(cls, members, provenance)
 
     @classmethod
     def refute(cls, rules) -> "AdmissibleSet":
@@ -92,8 +90,7 @@ class AdmissibleSet:
         return cls(members, tuple(provenance))
 
 
-@dataclass(frozen=True)
-class TransportPlan:
+class TransportPlan(namedtuple("TransportPlan", "moves")):
     """Witness that g is reachable from f by strictly improving shifts.
 
     ``moves`` maps (source, target) to positive mass; row sums equal f's
@@ -101,7 +98,7 @@ class TransportPlan:
     goes to a strictly preferred alternative.
     """
 
-    moves: tuple[tuple[tuple[str, str], Fraction], ...]
+    __slots__ = ()
 
     def move_dict(self) -> dict[tuple[str, str], Fraction]:
         return dict(self.moves)
@@ -325,27 +322,27 @@ def lift(members, witnesses) -> tuple:
     return tuple(members[w] if type(w) is int else w for w in witnesses)
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(namedtuple("Derivation", "rule premises")):
     """How a saturated fact was obtained: rule id plus its witnesses; for
     A1'-A5 the witnesses of the matching ``check`` violation."""
 
-    rule: str
-    premises: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DerivedFacts:
+class DerivedFacts(_LastFieldAside, namedtuple("DerivedFacts", "weak strict provenance")):
     """Weak/strict lottery pairs derivable within a family.
 
     ``provenance`` covers every derived fact over the internal pool
     (family plus degenerate lotteries of the mentioned alternatives) and
-    allows each derivation step to be replayed.
+    allows each derivation step to be replayed.  It takes no part in
+    equality or hashing, and defaults to a new dict.
     """
 
-    weak: frozenset[tuple[Lottery, Lottery]]
-    strict: frozenset[tuple[Lottery, Lottery]]
-    provenance: dict = field(default_factory=dict, compare=False)
+    __slots__ = ()
+
+    def __new__(cls, weak: frozenset[tuple[Lottery, Lottery]],
+                strict: frozenset[tuple[Lottery, Lottery]], provenance: dict | None = None):
+        return super().__new__(cls, weak, strict, {} if provenance is None else provenance)
 
 
 def saturate(rel: BaseRelation, family) -> DerivedFacts:

@@ -8,7 +8,6 @@ by their weight mapping, safe to share.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import repeat
@@ -22,7 +21,7 @@ from .errors import (
     NegativeWeight,
     NotNormalized,
 )
-from .relation import check_id
+from .relation import _read_only, check_id
 
 __all__ = [
     "Lottery",
@@ -38,7 +37,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class Lottery:
     """A probability distribution with finite, nonempty support.
 
@@ -48,7 +46,13 @@ class Lottery:
     form are computed on first use and kept on the instance.
     """
 
-    entries: tuple[tuple[str, Fraction], ...]
+    def __init__(self, entries: tuple[tuple[str, Fraction], ...]):
+        self.__dict__["entries"] = entries
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __repr__(self) -> str:
+        return f"Lottery(entries={self.entries!r})"
 
     def __hash__(self) -> int:
         return self._hash

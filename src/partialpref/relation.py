@@ -9,7 +9,7 @@ into one of the four judgment symbols.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -83,8 +83,30 @@ class FactKind(Enum):
     EQUIV = "~"
 
 
-@dataclass(frozen=True)
-class PrefFact:
+def _read_only(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a value class that keeps a
+    ``__dict__`` for its cached properties."""
+    raise AttributeError(f"cannot assign to or delete {name!r}: {type(self).__name__} is immutable")
+
+
+class _LastFieldAside:
+    """Base of a named tuple whose last field takes no part in equality or
+    hashing (an annotation of the value, such as its source positions)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's comparison
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+
+class PrefFact(namedtuple("PrefFact", "kind left right")):
     """A declared preference between two alternatives.
 
     ``WEAK(a, b)`` asserts a <= b; ``EQUIV`` asserts both directions;
@@ -92,25 +114,36 @@ class PrefFact:
     must not contain b <= a.
     """
 
-    kind: FactKind
-    left: str
-    right: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_id(self.left)
-        check_id(self.right)
+    def __new__(cls, kind: FactKind, left: str, right: str):
+        return super().__new__(cls, kind, check_id(left), check_id(right))
 
 
-@dataclass(frozen=True)
 class BaseRelation:
     """Reflexive-transitive closure of declared facts over a universe.
 
     ``up[a]`` is the set of alternatives b with a <= b, a itself included;
-    the members of one equivalence class share one frozenset.
+    the members of one equivalence class share one frozenset.  Equality
+    compares both fields; the hash reads the universe alone, as ``up`` is
+    a dict.
     """
 
-    universe: frozenset[str]
-    up: dict[str, frozenset[str]] = field(hash=False)
+    def __init__(self, universe: frozenset[str], up: dict[str, frozenset[str]]):
+        self.__dict__.update(universe=universe, up=up)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not BaseRelation:
+            return NotImplemented
+        return (self.universe, self.up) == (other.universe, other.up)
+
+    def __hash__(self):
+        return hash((self.universe,))
+
+    def __repr__(self):
+        return f"BaseRelation(universe={self.universe!r}, up={self.up!r})"
 
     @cached_property
     def weak(self) -> frozenset[tuple[str, str]]:

@@ -378,3 +378,19 @@ class TestGolden:
             if invoke(*case["argv"])[:2] != (case["code"], case["stdout"])
         ]
         assert wrong == []
+
+
+def test_cold_import_skips_start_up_only_modules():
+    """Importing the CLI loads no module that only costs start-up time.
+
+    ``-S`` keeps ``site``, and any ``.pth`` file it runs, from importing
+    them first.
+    """
+    src = str(Path(partialpref.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, partialpref.cli; print(*sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    loaded = set(proc.stdout.split())
+    assert "partialpref.cli" in loaded, proc.stderr
+    assert loaded & {"dataclasses", "inspect", "importlib.resources", "typing"} == set()
