@@ -119,8 +119,8 @@ class TestValueClass:
 
     def test_immutable(self, name):
         value, _, _, _ = CASES[name]()
-        field = repr(value).split("(", 1)[1].split("=", 1)[0]
         before = repr(value)
+        field = before.split("(", 1)[1].split("=", 1)[0]  # the first field the repr names
         for attribute in (field, "extra"):
             with pytest.raises(AttributeError):
                 setattr(value, attribute, None)
