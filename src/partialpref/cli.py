@@ -8,11 +8,10 @@ violations.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from . import casetable, dsl, engine
 from .errors import NotUtf8, PrefError, StrictViolation, TableMismatch, UnknownAlternative
@@ -20,7 +19,12 @@ from .relation import render_symbols
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The argparse parser of every subcommand in :data:`_COMMANDS`, built
+    only for the argvs :func:`_fast_args` leaves to it: help, usage errors
+    and other spellings."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="partialpref",
         description="Reason about partial preferences over alternatives and lotteries.",
@@ -31,39 +35,58 @@ def _build_parser() -> argparse.ArgumentParser:
         "--normalize", action="store_true", help="rescale lottery weights to sum to 1"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("validate", help="build and validate a preference file")
-    p.add_argument("prefs", type=Path)
-
-    p = sub.add_parser("compare", help="judge a pair of named lotteries")
-    p.add_argument("prefs", type=Path)
-    p.add_argument("lotteries", type=Path)
-    p.add_argument("name1")
-    p.add_argument("name2")
-
-    p = sub.add_parser("filter", help="keep only offers that are not certainly dominated")
-    p.add_argument("prefs", type=Path)
-    p.add_argument("lotteries", type=Path)
-
-    p = sub.add_parser("table", help="emit or verify the exhaustive case table")
-    group = p.add_mutually_exclusive_group()
+    for name, (_, help_line, positionals) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for positional in positionals:
+            p.add_argument(positional)
+    group = sub.choices["table"].add_mutually_exclusive_group()
     group.add_argument("--emit", action="store_true")
-    group.add_argument("--verify", type=Path, metavar="TRANSCRIPTION")
-
-    p = sub.add_parser("check", help="check an explicit finite model against the axioms")
-    p.add_argument("prefs", type=Path)
-    p.add_argument("model", type=Path)
-
-    p = sub.add_parser("saturate", help="derive weak/strict facts over a lottery family")
-    p.add_argument("prefs", type=Path)
-    p.add_argument("lotteries", type=Path)
+    group.add_argument("--verify", metavar="TRANSCRIPTION")
     return parser
 
 
-def _read_text(path: Path) -> str:
+def _fast_args(argv):
+    """The namespace argparse gives for an argv of one of the documented
+    shapes, or None for every other argv.
+
+    Leading ``--verbose``, ``--normalize`` and ``--format text|tsv`` (last
+    wins), then a subcommand and exactly its positionals, none starting
+    with ``-``; ``table`` takes nothing, ``--emit`` or ``--verify PATH``.
+    """
+    args = {"format": "text", "verbose": False, "normalize": False}
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--format":
+            args["format"] = next(tokens, None)
+            if args["format"] not in ("text", "tsv"):
+                return None
+        elif token in ("--verbose", "--normalize"):
+            args[token[2:]] = True
+        else:
+            break
+    else:
+        return None
+    if token not in _COMMANDS:
+        return None
+    args["subcommand"] = token
+    rest, names = list(tokens), _COMMANDS[token][2]
+    if token == "table":  # the one subcommand with options
+        args.update(emit=rest == ["--emit"], verify=None)
+        if args["emit"]:
+            rest = []
+        elif rest[:1] == ["--verify"]:
+            rest, names = rest[1:], ("verify",)
+    if len(rest) != len(names) or any(t.startswith("-") for t in rest):
+        return None
+    args.update(zip(names, rest))
+    return SimpleNamespace(**args)
+
+
+def _read_text(path: str) -> str:
     """The file as UTF-8; a byte that does not decode is placed by line and
     byte column."""
-    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -71,11 +94,11 @@ def _read_text(path: Path) -> str:
         raise NotUtf8(path, len(lines), len(lines[-1].encode("utf-8")) + 1) from None
 
 
-def _load_relation(path: Path):
+def _load_relation(path: str):
     return dsl.relation_from_document(dsl.parse_prefs(_read_text(path)))
 
 
-def _load_lotteries(path: Path, normalize: bool):
+def _load_lotteries(path: str, normalize: bool):
     """The named lotteries of a lottery file, and the file's text."""
     text = _read_text(path)
     return dsl.lotteries_from_document(dsl.parse_lotteries(text), normalize=normalize), text
@@ -184,13 +207,20 @@ def _cmd_saturate(args, out, err) -> int:
     return 0
 
 
+# every subcommand in help order: (handler, help line, positional names)
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "compare": _cmd_compare,
-    "filter": _cmd_filter,
-    "table": _cmd_table,
-    "check": _cmd_check,
-    "saturate": _cmd_saturate,
+    "validate": (_cmd_validate, "build and validate a preference file", ("prefs",)),
+    "compare": (
+        _cmd_compare, "judge a pair of named lotteries", ("prefs", "lotteries", "name1", "name2")
+    ),
+    "filter": (
+        _cmd_filter, "keep only offers that are not certainly dominated", ("prefs", "lotteries")
+    ),
+    "table": (_cmd_table, "emit or verify the exhaustive case table", ()),
+    "check": (_cmd_check, "check an explicit finite model against the axioms", ("prefs", "model")),
+    "saturate": (
+        _cmd_saturate, "derive weak/strict facts over a lottery family", ("prefs", "lotteries")
+    ),
 }
 
 
@@ -198,13 +228,14 @@ def run(argv, out=None, err=None) -> int:
     """Run the CLI with explicit argv and streams; returns the exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 1 if exc.code else 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
-        return _COMMANDS[args.subcommand](args, out, err)
+        return _COMMANDS[args.subcommand][0](args, out, err)
     except (PrefError, OSError) as exc:
         print(str(exc), file=err)
         return 1

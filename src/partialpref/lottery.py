@@ -68,7 +68,10 @@ class Lottery:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.entries,))
+        # the integer form is a function of the entries, and hashing its
+        # ints skips Fraction.__hash__'s modular inverse on every weight
+        denom, nums = self.integer_form
+        return hash((denom, tuple(nums.items())))
 
     def __getstate__(self):
         # a string's hash differs between processes, so the cache stays behind
@@ -244,9 +247,13 @@ def mixture_instances(table, size: int):
                     splits[alpha] = [[(m, m)] for m in range(size)]
                 splits[alpha][h].append((x, y))
     for alpha, options in splits.items():
-        for hf in range(size):
-            for hg in range(size):
-                for f in options[hf]:
-                    for g in options[hg]:
-                        if f != (hf, hf) or g != (hg, hg):
-                            yield hf, hg, alpha, f, g
+        proper = [h for h in range(size) if len(options[h]) > 1]
+        for hf, (trivial, *fs) in enumerate(options):
+            # beside a trivial hf side only an hg with a proper split yields
+            for hg in range(size) if fs else proper:
+                gs = options[hg]
+                for g in gs[1:]:
+                    yield hf, hg, alpha, trivial, g
+                for f in fs:
+                    for g in gs:
+                        yield hf, hg, alpha, f, g

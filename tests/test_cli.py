@@ -1,4 +1,6 @@
+import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ import pytest
 
 import partialpref
 from partialpref.casetable import bundled_table_text
-from partialpref.cli import run
+from partialpref.cli import _COMMANDS, _build_parser, _fast_args, run
 
 DATA = Path(__file__).parent / "data"
 BOB = (str(DATA / "bob.prefs"), str(DATA / "bob.lotteries"))
@@ -69,6 +71,13 @@ class TestValidate:
     def test_missing_file_exits_1(self, tmp_path):
         code, _, err = invoke("validate", str(tmp_path / "absent.prefs"))
         assert code == 1
+
+    @pytest.mark.parametrize("path", ["./absent.prefs", "golden//absent.prefs", "golden/", ""])
+    def test_unreadable_path_named_as_given(self, monkeypatch, path):
+        monkeypatch.chdir(DATA)
+        code, out, err = invoke("validate", path)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"{path!r}\n")
 
 
 class TestCompare:
@@ -380,17 +389,112 @@ class TestGolden:
         assert wrong == []
 
 
-def test_cold_import_skips_start_up_only_modules():
-    """Importing the CLI loads no module that only costs start-up time.
-
-    ``-S`` keeps ``site``, and any ``.pth`` file it runs, from importing
-    them first.
-    """
+def python_s(code, **kwargs):
+    """``code`` in a fresh ``python -S``: no ``site``, and no ``.pth`` file
+    importing modules first."""
     src = str(Path(partialpref.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", "import sys, partialpref.cli; print(*sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60, **kwargs,
     )
+
+
+START_UP_ONLY = {
+    "dataclasses", "inspect", "importlib.resources", "typing",
+    "argparse", "gettext", "locale", "pathlib",
+}
+
+
+def test_cold_import_skips_start_up_only_modules():
+    """Importing the CLI loads no module that only costs start-up time."""
+    proc = python_s("import sys, partialpref.cli; print(*sys.modules)")
     loaded = set(proc.stdout.split())
     assert "partialpref.cli" in loaded, proc.stderr
-    assert loaded & {"dataclasses", "inspect", "importlib.resources", "typing"} == set()
+    assert loaded & START_UP_ONLY == set()
+
+
+def test_documented_commands_run_without_argparse():
+    commands = [
+        ["validate", "bob.prefs"],
+        ["--verbose", "compare", *BOB, "carl_one_to_one", "carl_five"],
+        ["--normalize", "filter", *BOB],
+        ["table", "--verify", str(Path(partialpref.__file__).parent / "data" / "case_table.txt")],
+        ["check", "golden/mix.prefs", "golden/a1.model"],
+        ["--format", "tsv", "saturate", "golden/mix.prefs", "golden/mix.lotteries"],
+    ]
+    code = (
+        "import io, sys\n"
+        "from partialpref.cli import run\n"
+        f"print(*(run(argv, io.StringIO(), io.StringIO()) for argv in {commands!r}))\n"
+        "print(*sys.modules)\n"
+    )
+    proc = python_s(code, cwd=DATA)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = proc.stdout.splitlines()
+    assert codes.split() == ["0", "0", "0", "0", "4", "0"], proc.stderr
+    assert set(loaded.split()) & START_UP_ONLY == set()
+
+
+def argparse_outcome(argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where it exits."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+GLOBAL_FLAGS = [[]] + [
+    " ".join(combo).split()
+    for n in (1, 2, 3)
+    for combo in itertools.product(
+        ["--verbose", "--normalize", "--format text", "--format tsv"], repeat=n
+    )
+]
+DOCUMENTED = [
+    [name, *(f"{p}.arg" for p in positionals)] for name, (_, _, positionals) in _COMMANDS.items()
+]
+DOCUMENTED += [["table", "--emit"], ["table", "--verify", "t"]]
+
+
+def argv_corpus():
+    """Each documented shape and its missing, extra and misplaced
+    arguments, the edge tokens around them, and an unknown subcommand,
+    each under every global-flag combination."""
+    shapes = [s for shape in DOCUMENTED for s in (shape, shape[:-1], shape + ["extra"])]
+    shapes += [
+        ["table", "--emit", "--verify", "t"], ["table", "--emit", "--emit"], ["frobnicate", "p"]
+    ]
+    edges = ["-h", "--help", "--verb", "--format=tsv", "--format xml", "--", "-x", "-1", ""]
+    for token in [edge.split(" ") if " " in edge else [edge] for edge in edges]:
+        for shape in ["validate", "p"], ["compare", "p", "l", "n1", "n2"], ["table", "--verify", "t"]:
+            shapes += [token + shape, shape[:1] + token + shape[1:], shape + token, shape[:-1] + token]
+    return [flags + shape for flags in GLOBAL_FLAGS for shape in shapes]
+
+
+class TestFastArgs:
+    def test_agrees_with_argparse(self):
+        for argv in argv_corpus():
+            fast = _fast_args(argv)
+            assert fast is None or vars(fast) == argparse_outcome(argv), argv
+
+    def test_answers_every_documented_shape(self):
+        for argv in (flags + shape for flags in GLOBAL_FLAGS for shape in DOCUMENTED):
+            assert _fast_args(argv) is not None, argv
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="argparse's wording differs between Python versions"
+)
+def test_help_usage_and_file_errors_match_record(monkeypatch, capsys):
+    """stdout, stderr and exit code of help, usage errors and unreadable
+    files equal those recorded in ``golden/usage.json`` (Python 3.11, 80
+    columns)."""
+    monkeypatch.chdir(DATA)
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = json.loads((DATA / "golden" / "usage.json").read_text("utf-8"))
+    for case in cases:
+        code = run(case["argv"])
+        recorded = case["code"], case["stdout"], case["stderr"]
+        assert (code, *capsys.readouterr()) == recorded, case["argv"]

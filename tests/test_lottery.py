@@ -20,6 +20,7 @@ from partialpref.lottery import (
     convex_combine,
     decompose,
     make_lottery,
+    mixture_instances,
     mixture_table,
 )
 from partialpref.relation import check_id
@@ -60,7 +61,26 @@ class TestCachedHash:
     def test_equal_lotteries_hash_alike(self):
         f = make_lottery([("a", F(1, 3)), ("b", F(2, 3))])
         g = make_lottery([("b", F(2, 3)), ("a", F(1, 3))])
-        assert hash(f) == hash(f) == hash(g) == hash((f.entries,))
+        assert hash(f) == hash(f) == hash(g) == hash((3, (("a", 1), ("b", 2))))
+
+    def test_every_construction_hashes_alike(self):
+        rng = random.Random(14)
+        for _ in range(50):
+            f = random_grid_lottery(rng, alt_names(4), rng.choice((2, 3, 6)))
+            g = random_grid_lottery(rng, alt_names(4), 4)
+            alpha = F(rng.randint(0, 5), 5)
+            h = convex_combine(alpha, f, g)
+            built = [
+                h,
+                make_lottery(h.entries),
+                Lottery(h.entries),
+                pickle.loads(pickle.dumps(h)),
+                make_lottery(
+                    [(a, alpha * w) for a, w in f.entries] + [(a, (1 - alpha) * w) for a, w in g.entries]
+                ),
+            ]
+            assert len({hash(lot) for lot in built}) == 1
+            assert all(lot == h for lot in built)
 
     def test_unpickled_lottery_hashes_as_built_here(self):
         # the pickle comes from a process with another string hash seed
@@ -336,3 +356,42 @@ class TestMixtureTable:
                 for k in rng.sample(range(len(lots)), min(3, len(lots))):
                     assert decompose(lots[k], lots[i], lots[j]) == inner.get(k)
         assert proper >= 2000, proper
+
+
+def all_pairs_mixture_instances(table, size):
+    """``mixture_instances`` as it was written, stepping through every
+    (hf, hg) pair and rejecting the trivial x trivial splits."""
+    splits = {}
+    for (x, y), row in table.items():
+        for h, alpha, _ in row:
+            if h != x and h != y:
+                if alpha not in splits:
+                    splits[alpha] = [[(m, m)] for m in range(size)]
+                splits[alpha][h].append((x, y))
+    for alpha, options in splits.items():
+        for hf in range(size):
+            for hg in range(size):
+                for f in options[hf]:
+                    for g in options[hg]:
+                        if f != (hf, hf) or g != (hg, hg):
+                            yield hf, hg, alpha, f, g
+
+
+class TestMixtureInstances:
+    def test_same_sequence_as_all_pairs_generator(self):
+        rng = random.Random(140)
+        yielded = 0
+        for _ in range(80):
+            alts = alt_names(rng.randint(2, 4))
+            lots = [
+                random_grid_lottery(rng, alts, rng.choice((2, 3, 4))) for _ in range(rng.randint(2, 5))
+            ]
+            for _ in range(rng.randint(0, 3)):
+                f, g = rng.sample(lots, 2)
+                lots.append(convex_combine(F(rng.randint(1, 5), 6), f, g))
+            lots = list(dict.fromkeys(lots))
+            table = mixture_table(lots)
+            expected = list(all_pairs_mixture_instances(table, len(lots)))
+            assert list(mixture_instances(table, len(lots))) == expected
+            yielded += len(expected)
+        assert yielded >= 1000, yielded
