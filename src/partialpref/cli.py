@@ -98,6 +98,12 @@ def _load_relation(path: str):
     return dsl.relation_from_document(dsl.parse_prefs(_read_text(path)))
 
 
+def _restricted(rel, lotteries):
+    """``rel`` restricted to the alternatives of ``lotteries``: the engine
+    tests no other pair, nor meets another unknown alternative."""
+    return rel.restrict(a for lot in lotteries for a, _ in lot.entries)
+
+
 def _load_lotteries(path: str, normalize: bool):
     """The named lotteries of a lottery file, and the file's text."""
     text = _read_text(path)
@@ -121,9 +127,8 @@ def _cmd_validate(args, out, err) -> int:
     except StrictViolation as exc:
         print(str(exc), file=err)
         return 2
-    closure = sum(len(above) for above in rel.up.values())
     print(
-        f"universe: {len(rel.universe)} alternatives; closure: {closure} weak pairs",
+        f"universe: {len(rel.universe)} alternatives; closure: {rel.count_pairs()} weak pairs",
         file=out,
     )
     return 0
@@ -136,8 +141,9 @@ def _cmd_compare(args, out, err) -> int:
         if name not in lots:
             print(f"unknown lottery name: {name!r}", file=err)
             return 1
+    f, g = lots[args.name1], lots[args.name2]
     with _placed_in(text):
-        verdict = engine.compare(rel, lots[args.name1], lots[args.name2])
+        verdict = engine.compare(_restricted(rel, (f, g)), f, g)
     if args.format == "tsv":
         line = dsl.render_verdict(verdict, verbose=args.verbose, sep="\t")
         print(f"{args.name1}\t{args.name2}\t{line}", file=out)
@@ -150,7 +156,7 @@ def _cmd_filter(args, out, err) -> int:
     rel = _load_relation(args.prefs)
     lots, text = _load_lotteries(args.lotteries, args.normalize)
     with _placed_in(text):
-        kept = engine.maximal_filter(rel, list(lots.items()))
+        kept = engine.maximal_filter(_restricted(rel, lots.values()), list(lots.items()))
     for name, _ in kept:
         print(name, file=out)
     return 0
@@ -197,7 +203,7 @@ def _cmd_saturate(args, out, err) -> int:
     rel = _load_relation(args.prefs)
     lots, text = _load_lotteries(args.lotteries, args.normalize)
     with _placed_in(text):
-        facts = engine.saturate(rel, list(lots.values()))
+        facts = engine.saturate(_restricted(rel, lots.values()), list(lots.values()))
     sep = "\t" if args.format == "tsv" else " "
     for x, f in lots.items():
         for y, g in lots.items():

@@ -60,6 +60,17 @@ _OPS = {
 }
 
 
+# the common shapes of a preference line, blanks only spaces and tabs:
+# (leading blanks, declared alternative) or (leading blanks, left, operator,
+# right); a left side ``alt`` is left to the token code, which rejects it.
+# Compiled on first use, through re's cache, so a start that reads no
+# preference file does not pay for it.
+_PREF_LINE = (
+    r"([ \t]*)(?:alt[ \t]+([\w-]+)|(?!alt[ \t])([\w-]+)[ \t]+(%s)[ \t]+([\w-]+))[ \t]*"
+    % "|".join(_OPS)
+)
+
+
 class PrefDocument(
     _LastFieldAside, namedtuple("PrefDocument", "facts universe_decls positions", defaults=((),))
 ):
@@ -110,7 +121,19 @@ def parse_prefs(text: str) -> PrefDocument:
     facts: list[PrefFact] = []
     positions: list[tuple[int, int]] = []
     universe: list[str] = []
+    make_fact = PrefFact._make  # the pattern matched both identifiers
+    match_line = re.compile(_PREF_LINE).fullmatch
     for lineno, line in numbered_lines(text):
+        m = match_line(line)
+        if m:
+            blanks, declared, left, op, right = m.groups()
+            if declared:
+                universe.append(declared)
+            else:
+                facts.append(make_fact((_OPS[op], left, right)))
+                positions.append((lineno, len(blanks) + 1))
+            continue
+        # every other line, and every error, goes through the tokens
         tokens = line.split()
         try:
             if tokens[0] == "alt":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import floordiv, sub
@@ -21,7 +21,7 @@ from .errors import (
     NegativeWeight,
     NotNormalized,
 )
-from .relation import _read_only, check_id
+from .relation import _kept, _read_only, check_id
 
 __all__ = [
     "Lottery",
@@ -66,7 +66,7 @@ class Lottery:
             return NotImplemented
         return self._hash == other._hash and self.entries == other.entries
 
-    @cached_property
+    @_kept
     def _hash(self) -> int:
         # the integer form is a function of the entries, and hashing its
         # ints skips Fraction.__hash__'s modular inverse on every weight
@@ -77,7 +77,7 @@ class Lottery:
         # a string's hash differs between processes, so the cache stays behind
         return {"entries": self.entries}
 
-    @cached_property
+    @_kept
     def integer_form(self) -> tuple[int, Mapping[str, int]]:
         """``(denom, numerators)``: the least common denominator of the
         weights, and each alternative's weight times ``denom``, in
@@ -89,8 +89,9 @@ class Lottery:
     @classmethod
     def degenerate(cls, alternative: str) -> "Lottery":
         """The lottery assigning probability 1 to a single alternative."""
-        check_id(alternative)
-        return cls(entries=((alternative, ONE),))
+        lot = cls(entries=((check_id(alternative), ONE),))
+        vars(lot)["integer_form"] = 1, {alternative: 1}
+        return lot
 
     def weight(self, alternative: str) -> Fraction:
         for a, w in self.entries:
@@ -136,7 +137,7 @@ def make_lottery(pairs, normalize: bool = False) -> Lottery:
     nums = {a: acc[a] // common for a in sorted(acc) if acc[a]}
     denom = total // common
     lot = Lottery(entries=tuple((a, Fraction(x, denom)) for a, x in nums.items()))
-    vars(lot)["integer_form"] = denom, nums  # the value the cached property computes
+    vars(lot)["integer_form"] = denom, nums  # the value the property computes
     return lot
 
 

@@ -1,9 +1,9 @@
 """Base partial preorder over alternatives.
 
 Alternatives are plain identifier strings.  Declared preference facts are
-closed reflexively and transitively at construction time; a built
-:class:`BaseRelation` is immutable and classifies any pair of alternatives
-into one of the four judgment symbols.
+closed reflexively and transitively at construction time, as one bitmask
+per alternative; a built :class:`BaseRelation` is immutable and classifies
+any pair of alternatives into one of the four judgment symbols.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property
+from itertools import compress
 
 from .errors import MalformedId, StrictViolation, UnknownAlternative
 
@@ -89,6 +89,32 @@ def _read_only(self, name, *value):
     raise AttributeError(f"cannot assign to or delete {name!r}: {type(self).__name__} is immutable")
 
 
+class _kept:
+    """A property computed on first access and kept in the instance's
+    ``__dict__``, which shadows it from then on: ``functools.cached_property``
+    without the lock that Python 3.11 takes on every first access."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
+# the bits of bin(mask), reversed, as the bytes 0 and 1
+_BIT_BYTES = {ord("0"): 0, ord("1"): 1}
+
+
+def _members(order, mask: int):
+    """The alternatives ``order[i]`` for the set bits i of ``mask``, in order."""
+    return compress(order, bin(mask)[:1:-1].translate(_BIT_BYTES).encode())
+
+
 class _LastFieldAside:
     """Base of a named tuple whose last field takes no part in equality or
     hashing (an annotation of the value, such as its source positions)."""
@@ -124,13 +150,23 @@ class BaseRelation:
     """Reflexive-transitive closure of declared facts over a universe.
 
     ``up[a]`` is the set of alternatives b with a <= b, a itself included;
-    the members of one equivalence class share one frozenset.  Equality
-    compares both fields; the hash reads the universe alone, as ``up`` is
-    a dict.
+    the members of one equivalence class share one frozenset.  A relation
+    from :func:`build_base_relation` keeps its closure as one bitmask per
+    alternative and builds ``up`` from the masks on first access.  Equality
+    compares both fields; the hash reads the universe alone, as ``up`` is a
+    dict.
     """
 
     def __init__(self, universe: frozenset[str], up: dict[str, frozenset[str]]):
         self.__dict__.update(universe=universe, up=up)
+
+    @classmethod
+    def _from_masks(cls, index: dict[str, int], masks: dict[str, int]) -> "BaseRelation":
+        """The relation whose alternative a is bit ``index[a]`` and whose
+        ``up[a]`` has the bits of ``masks[a]``."""
+        rel = cls.__new__(cls)
+        rel.__dict__.update(universe=frozenset(index), _index=index, _masks=masks)
+        return rel
 
     __setattr__ = __delattr__ = _read_only
 
@@ -145,15 +181,62 @@ class BaseRelation:
     def __repr__(self):
         return f"BaseRelation(universe={self.universe!r}, up={self.up!r})"
 
-    @cached_property
+    @_kept
+    def up(self) -> dict[str, frozenset[str]]:
+        """Each alternative's up-set, built from the masks on first use."""
+        shared: dict[int, frozenset[str]] = {}  # equal masks: one class
+        up = {}
+        for a, mask in self._masks.items():
+            if mask not in shared:
+                shared[mask] = frozenset(_members(self._index, mask))
+            up[a] = shared[mask]
+        return up
+
+    @_kept
     def weak(self) -> frozenset[tuple[str, str]]:
         """The closed relation <= as ordered pairs, built on first use."""
         return frozenset((a, b) for a, bs in self.up.items() for b in bs)
 
+    def count_pairs(self) -> int:
+        """``len(self.weak)``, counted on the masks when there are any."""
+        masks = self.__dict__.get("_masks")
+        if masks is None:
+            return sum(map(len, self.up.values()))
+        return sum(mask.bit_count() for mask in masks.values())
+
+    def restrict(self, alternatives) -> "BaseRelation":
+        """The preorder induced on those of ``alternatives`` that are in the
+        universe: each one's up-set cut down to them.
+
+        Every pair of those alternatives classifies as in ``self``, and
+        every other alternative is unknown to the result.
+        """
+        keep = [a for a in dict.fromkeys(alternatives) if a in self.universe]
+        cut: dict = {}  # an up-set, or its mask, to its cut: one per class
+        up = {}
+        index = self.__dict__.get("_index")
+        if index is None:
+            chosen = frozenset(keep)
+            for a in keep:
+                above = self.up[a]
+                if above not in cut:
+                    cut[above] = above & chosen
+                up[a] = cut[above]
+        else:
+            chosen = 0
+            for a in keep:
+                chosen |= 1 << index[a]
+            for a in keep:
+                mask = self._masks[a] & chosen
+                if mask not in cut:
+                    cut[mask] = frozenset(_members(index, mask))
+                up[a] = cut[mask]
+        return BaseRelation(frozenset(keep), up)
+
     def _require(self, *alternatives: str) -> None:
         """Raise for the first of ``alternatives`` outside the universe."""
         for a in alternatives:
-            if a not in self.up:
+            if a not in self.universe:
                 raise UnknownAlternative(a)
 
     def holds(self, a: str, b: str) -> bool:
@@ -167,17 +250,20 @@ class BaseRelation:
         return _KIND[b in self.up[a]][a in self.up[b]]
 
 
-def _close(succ: dict[str, set[str]]) -> dict[str, frozenset[str]]:
-    """Up-sets of the reflexive-transitive closure of the edges ``succ``.
+def _close(succ: dict[str, set[str]]) -> tuple[dict[str, int], dict[str, int]]:
+    """The reflexive-transitive closure of the edges ``succ``, as bitmasks.
 
-    An iterative Tarjan pass: strongly connected components complete in
-    reverse topological order, so a component's up-set is its members plus
-    the up-sets of the components its edges reach, all completed before it.
+    Returns ``(index, masks)``: alternative a is bit ``index[a]``, and
+    ``masks[a]`` has the bits of every b with a <= b.  An iterative Tarjan
+    pass: strongly connected components complete in reverse topological
+    order, so a component's mask is its members' bits ORed with the masks
+    of the components its edges reach, all completed before it.  Bits are
+    numbered in the order the pass meets the alternatives.
     """
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
-    up: dict[str, frozenset[str]] = {}
+    masks: dict[str, int] = {}
     for root in succ:
         if root in index:
             continue
@@ -192,28 +278,28 @@ def _close(succ: dict[str, set[str]]) -> dict[str, frozenset[str]]:
                     stack.append(w)
                     work.append((w, iter(succ[w])))
                     break
-                if w not in up:  # w is on the stack, in v's component
-                    low[v] = min(low[v], index[w])
+                # w is on the stack, in v's component (an if, not min(), is faster)
+                if w not in masks and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
                 if work:
                     u = work[-1][0]
-                    low[u] = min(low[u], low[v])
+                    if low[v] < low[u]:
+                        low[u] = low[v]
                 if low[v] == index[v]:
                     members = [stack.pop()]
                     while members[-1] != v:
                         members.append(stack.pop())
-                    reach = set(members)
+                    reach = 0
+                    for w in members:
+                        reach |= 1 << index[w]
                     for w in members:
                         for x in succ[w]:
-                            # an alternative already in reach brings nothing:
-                            # it is a member or lies in an up-set taken whole
-                            if x not in reach:
-                                reach |= up[x]
-                    closed = frozenset(reach)
+                            reach |= masks.get(x, 0)  # a member has no mask yet
                     for w in members:
-                        up[w] = closed
-    return up
+                        masks[w] = reach
+    return index, masks
 
 
 def build_base_relation(facts, extra_universe=None) -> BaseRelation:
@@ -226,18 +312,18 @@ def build_base_relation(facts, extra_universe=None) -> BaseRelation:
     """
     succ: dict[str, set[str]] = {}
     stricts: list[tuple[str, str]] = []
-    for fact in facts:
-        succ.setdefault(fact.left, set()).add(fact.right)
-        succ.setdefault(fact.right, set())
-        if fact.kind is FactKind.EQUIV:
-            succ[fact.right].add(fact.left)
-        elif fact.kind is FactKind.STRICT:
-            stricts.append((fact.left, fact.right))
+    for kind, left, right in facts:
+        succ.setdefault(left, set()).add(right)
+        succ.setdefault(right, set())
+        if kind is FactKind.EQUIV:
+            succ[right].add(left)
+        elif kind is FactKind.STRICT:
+            stricts.append((left, right))
     if extra_universe:
         for ident in extra_universe:
             succ.setdefault(check_id(ident), set())
-    up = _close(succ)
+    index, masks = _close(succ)
     for a, b in stricts:
-        if a in up[b]:
+        if masks[b] >> index[a] & 1:
             raise StrictViolation(a, b)
-    return BaseRelation(universe=frozenset(up), up=up)
+    return BaseRelation._from_masks(index, masks)

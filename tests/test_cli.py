@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import partialpref
+from partialpref import cli
 from partialpref.casetable import bundled_table_text
 from partialpref.cli import _COMMANDS, _build_parser, _fast_args, run
 
@@ -53,6 +54,26 @@ class TestValidate:
         code, out, err = invoke("validate", str(chain))
         assert code == 0
         assert "3 alternatives" in out and "6 weak pairs" in out
+
+    def test_large_file_builds_no_up_set(self, tmp_path, monkeypatch):
+        # validate counts the pairs on the masks; the queries read up-sets
+        # of a restriction to their lotteries' alternatives
+        alts = [f"x{i}" for i in range(400)]
+        prefs = tmp_path / "chain.prefs"
+        prefs.write_text("".join(f"{a} < {b}\n" for a, b in zip(alts, alts[1:])))
+        lots = tmp_path / "ends.lots"
+        lots.write_text("low : x0@1\nhigh : x399@1\nmid : x0@1/2, x200@1/2\n")
+        built = []
+        load = cli._load_relation
+        monkeypatch.setattr(cli, "_load_relation", lambda path: built.append(load(path)) or built[-1])
+        assert invoke("validate", str(prefs)) == (
+            0, "universe: 400 alternatives; closure: 80200 weak pairs\n", "")
+        assert invoke("compare", str(prefs), str(lots), "low", "high") == (0, "<\n", "")
+        assert invoke("filter", str(prefs), str(lots)) == (0, "high\n", "")
+        assert invoke("saturate", str(prefs), str(lots))[1].splitlines()[:2] == [
+            "low < high", "low < mid"]
+        assert len(built) == 4
+        assert all("up" not in vars(rel) for rel in built)
 
     def test_strict_violation_exits_2(self, tmp_path):
         path = tmp_path / "bad.prefs"

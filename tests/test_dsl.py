@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from partialpref.casetable import parse_table
 from partialpref.dsl import (
+    _OPS,
     LotteryDocument,
     PrefDocument,
     locate_alternative,
+    numbered_lines,
     lotteries_from_document,
     parse_lotteries,
     parse_model,
@@ -18,6 +20,7 @@ from partialpref.dsl import (
     render_lotteries,
     render_prefs,
     render_verdict,
+    token_column,
 )
 from partialpref.engine import AdmissibleSet
 from partialpref.errors import (
@@ -26,10 +29,11 @@ from partialpref.errors import (
     MalformedId,
     NegativeWeight,
     NotNormalized,
+    PrefError,
     StrictViolation,
     UnknownLotteryName,
 )
-from partialpref.relation import FactKind, PrefFact, RelKind
+from partialpref.relation import FactKind, PrefFact, RelKind, check_id
 
 E, L, G, I = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP
 
@@ -104,6 +108,98 @@ class TestParsePrefs:
             parse_prefs("a < b\n" + text)
         assert (exc.value.ident, exc.value.line, exc.value.column) == (ident, 2, column)
         assert str(exc.value) == f"line 2, column {column}: malformed identifier: {ident!r}"
+
+
+def token_parse_prefs(text: str) -> PrefDocument:
+    """``parse_prefs`` as it read every line before its line pattern: by
+    the tokens of ``str.split``.  The oracle of :class:`TestLinePattern`."""
+    facts = []
+    positions = []
+    universe = []
+    for lineno, line in numbered_lines(text):
+        tokens = line.split()
+        try:
+            if tokens[0] == "alt":
+                if len(tokens) != 2:
+                    raise DslSyntaxError("a single identifier after 'alt'").at(lineno, token_column(line, 0) + 3)
+                universe.append(check_id(tokens[1]))
+                continue
+            if len(tokens) != 3:
+                raise DslSyntaxError("'<id> (<|<=|~) <id>' or 'alt <id>'").at(lineno, 1)
+            left, op, right = tokens
+            if op not in _OPS:
+                stray = op[0] in _OPS and len(op) > 1
+                raise DslSyntaxError("operator <, <= or ~").at(lineno, token_column(line, 1) + stray)
+            facts.append(PrefFact(_OPS[op], left, right))
+        except MalformedId as exc:
+            raise exc.at(lineno, token_column(line, 0 if exc.ident == tokens[0] else -1)) from None
+        positions.append((lineno, len(line) - len(line.lstrip()) + 1))
+    return PrefDocument(tuple(facts), tuple(universe), tuple(positions))
+
+
+def parsed(parse, text):
+    """The document and its positions, or the error's class, message and place."""
+    try:
+        doc = parse(text)
+    except PrefError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return doc, doc.positions
+
+
+class TestLinePattern:
+    """``parse_prefs`` reads the common line shapes with one pattern and
+    leaves every other line to the tokens: its documents, positions and
+    errors are those of :func:`token_parse_prefs`."""
+
+    IDS = ["a", "b2", "x-1", "a_b", "über", "alt", "altx", "_"]
+    BAD_IDS = ["a.b", "x!", "b\u200b", "-<"]
+    OPS = list(_OPS) + ["<<", "=", "<==", "~~", ">", "<=<"]
+    BLANKS = [" ", "  ", "\t", " \t", "\xa0", "\u2028", "\v", "\u3000"]
+    ENDS = ["\n", "\r\n", "\r"]
+
+    @classmethod
+    def line(cls, rng):
+        def blank():
+            return rng.choice(cls.BLANKS) if rng.random() < 0.2 else rng.choice([" ", "\t", "  "])
+
+        def ident():
+            return rng.choice(cls.BAD_IDS) if rng.random() < 0.1 else rng.choice(cls.IDS)
+
+        shape = rng.random()
+        if shape < 0.45:
+            tokens = [ident(), rng.choice(cls.OPS) if rng.random() < 0.2 else rng.choice(list(_OPS)), ident()]
+        elif shape < 0.65:
+            tokens = ["alt", ident()]
+        elif shape < 0.75:
+            tokens = ["alt", rng.choice(list(_OPS)), ident()]
+        else:  # missing or extra tokens
+            tokens = [rng.choice(cls.IDS + cls.OPS + cls.BAD_IDS) for _ in range(rng.randint(1, 4))]
+        line = blank() * rng.randint(0, 2)
+        line += "".join(t + blank() for t in tokens[:-1]) + tokens[-1]
+        line += blank() * rng.randint(0, 1)
+        if rng.random() < 0.15:
+            line += rng.choice(["#", " # c < d", "# alt"])
+        if rng.random() < 0.05:
+            line = rng.choice(["", "  ", "# only a comment", "\t#"])
+        return line
+
+    def test_agrees_with_the_token_parser(self):
+        rng = random.Random("line-pattern")
+        outcomes = set()
+        for _ in range(4000):
+            lines = [self.line(rng) for _ in range(rng.randint(1, 5))]
+            text = "".join(line + rng.choice(self.ENDS) for line in lines)[:rng.choice([None, -1])]
+            expected = parsed(token_parse_prefs, text)
+            assert parsed(parse_prefs, text) == expected, ascii(text)
+            outcomes.add(expected[0] if isinstance(expected[0], type) else "document")
+        assert outcomes == {"document", DslSyntaxError, MalformedId}
+
+    @pytest.mark.parametrize("text", [
+        "alt < b", "alt alt", "alt\t<= b", "  x ~ alt", "a <\xa0b", "\u2028a < b",
+        "a < b\u2028", "alt\u3000x", "a\t⪯\tb  ", "a <<= b", "a < b < c", "alt",
+    ], ids=ascii)
+    def test_edge_lines(self, text):
+        assert parsed(parse_prefs, text) == parsed(token_parse_prefs, text)
 
 
 class TestParseLotteries:

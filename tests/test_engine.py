@@ -9,6 +9,7 @@ import pytest
 
 from partialpref import engine
 from partialpref.casetable import AxiomViolation, FiniteModel, check_axioms
+from partialpref.dsl import render_verdict
 from partialpref.engine import (
     compare,
     cross_profile,
@@ -27,7 +28,7 @@ from partialpref.lottery import (
 )
 from partialpref.relation import FactKind, PrefFact, RelKind, build_base_relation
 
-from conftest import alt_names, random_grid_lottery, random_relation
+from conftest import all_relations, alt_names, random_grid_lottery, random_relation
 
 E, L, G, I = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP
 
@@ -662,7 +663,9 @@ class TestMaximalFilter:
 
     def test_queries_build_no_relation_wide_state(self):
         # a query pays for the supports it touches; building rel.weak or a
-        # cache over all 400 alternatives would cost more than a query
+        # cache over all 400 alternatives would cost more than a query.  On
+        # a restriction to the offers it builds no up-set of rel at all, and
+        # on rel itself nothing but the up-sets.
         rng = random.Random(400)
         layers = [alt_names(400)[k:k + 20] for k in range(0, 400, 20)]
         facts = [PrefFact(FactKind.EQUIV, *rng.sample(layer, 2)) for layer in layers]
@@ -675,9 +678,14 @@ class TestMaximalFilter:
         rel = build_base_relation(facts)
         offers = [(f"o{i}", random_grid_lottery(rng, rng.sample(sorted(rel.universe), 3), 12))
                   for i in range(12)]
+        small = rel.restrict(a for _, lot in offers for a, _ in lot.entries)
+        compare(small, offers[0][1], offers[1][1])
+        maximal_filter(small, offers)
+        assert vars(small).keys() == {"universe", "up"}
+        assert vars(rel).keys() == {"universe", "_index", "_masks"}
         compare(rel, offers[0][1], offers[1][1])
         maximal_filter(rel, offers)
-        assert vars(rel).keys() == {"universe", "up"}
+        assert vars(rel).keys() == {"universe", "_index", "_masks", "up"}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_nonempty_output_on_nonempty_input(self, seed):
@@ -688,3 +696,70 @@ class TestMaximalFilter:
         # dedupe lotteries to keep names unique per lottery irrelevant; names differ
         kept = maximal_filter(rel, offers)
         assert kept
+
+
+def outcome(run):
+    """What ``run()`` returns, or the class, message and identifier of the
+    :class:`UnknownAlternative` it raises."""
+    try:
+        return run()
+    except UnknownAlternative as exc:
+        return type(exc), str(exc), exc.ident
+
+
+class TestRestriction:
+    """The engine tests only pairs of alternatives that its lotteries
+    mention, so on a restriction that covers them it answers as on the
+    whole relation: the same verdicts, plans, provenance and errors."""
+
+    @staticmethod
+    def case(seed):
+        """A relation (built from facts with equivalence classes, or from
+        explicit up-sets), lotteries that sometimes mention an unknown
+        alternative, and a cover of the lotteries' alternatives: those
+        alternatives, shuffled and repeated, with other known and unknown
+        ones."""
+        rng = random.Random(f"restrict-{seed}")
+        if seed % 4:
+            rel = random_relation(rng, rng.randint(3, 8))
+        else:
+            rel = rng.choice(all_relations(3))
+        alts = sorted(rel.universe)
+        pool = alts + ["zz"] if rng.random() < 0.25 else alts
+        lots = list(dict.fromkeys(
+            random_grid_lottery(rng, rng.sample(pool, rng.randint(1, min(3, len(pool)))), 6)
+            for _ in range(rng.randint(2, 6))
+        ))
+        mentioned = [a for lot in lots for a, _ in lot.entries]
+        cover = mentioned + rng.sample(alts, rng.randint(0, len(alts))) + ["yy"] * rng.randint(0, 1)
+        rng.shuffle(cover)
+        return rel, lots, cover
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_compare_and_its_verbose_text(self, seed):
+        rel, lots, cover = self.case(seed)
+        small = rel.restrict(cover)
+        for f, g in itertools.permutations(lots, 2):
+            pair = rel.restrict(a for lot in (f, g) for a, _ in lot.entries)
+            verdict = outcome(lambda: compare(rel, f, g))
+            assert outcome(lambda: compare(small, f, g)) == verdict
+            assert outcome(lambda: compare(pair, f, g)) == verdict
+            if isinstance(verdict, engine.AdmissibleSet):
+                text = render_verdict(verdict, verbose=True)
+                assert render_verdict(compare(pair, f, g), verbose=True) == text
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_maximal_filter(self, seed):
+        rel, lots, cover = self.case(seed)
+        offers = [(f"o{i}", lot) for i, lot in enumerate(lots)]
+        assert outcome(lambda: maximal_filter(rel.restrict(cover), offers)) == outcome(
+            lambda: maximal_filter(rel, offers))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_saturate_facts_and_provenance(self, seed):
+        rel, lots, cover = self.case(seed)
+        whole = outcome(lambda: saturate(rel, lots))
+        small = outcome(lambda: saturate(rel.restrict(cover), lots))
+        assert small == whole
+        if isinstance(whole, engine.DerivedFacts):
+            assert small.provenance == whole.provenance

@@ -82,6 +82,14 @@ class TestCachedHash:
             assert len({hash(lot) for lot in built}) == 1
             assert all(lot == h for lot in built)
 
+    def test_caches_kept_in_the_instance_dict_and_out_of_pickles(self):
+        lot = Lottery.degenerate("a")
+        assert vars(lot)["integer_form"] == Lottery(lot.entries).integer_form == (1, {"a": 1})
+        assert "_hash" not in vars(lot)
+        assert hash(lot) == vars(lot)["_hash"] == hash(Lottery(lot.entries))
+        assert lot.__getstate__() == {"entries": lot.entries}
+        assert vars(pickle.loads(pickle.dumps(lot))) == {"entries": lot.entries}
+
     def test_unpickled_lottery_hashes_as_built_here(self):
         # the pickle comes from a process with another string hash seed
         code = (

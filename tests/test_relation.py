@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 import time
 
@@ -18,7 +19,7 @@ from partialpref.relation import (
     classify_pair,
 )
 
-from conftest import alt_names, random_facts, random_relation
+from conftest import all_relations, alt_names, random_facts, random_relation
 
 
 def strict(a, b):
@@ -136,6 +137,7 @@ def oracle_closure(universe, facts):
 
 def assert_matches_oracle(rel, facts):
     closure = oracle_closure(rel.universe, facts)
+    assert rel.count_pairs() == sum(len(above) for above in rel.up.values())
     assert rel.weak == closure
     assert sum(len(above) for above in rel.up.values()) == len(rel.weak)
     for a, b in itertools.product(sorted(rel.universe), repeat=2):
@@ -205,3 +207,68 @@ class TestClosureOracle:
         assert rel.classify(alts[-1], alts[0]) is RelKind.GREATER
         assert len(rel.up[alts[0]]) == 1500
         assert elapsed < 2.0
+
+
+class TestMaskedClosure:
+    """A relation built from facts keeps one bitmask per alternative and
+    builds ``up`` from them on first access; it is the same value as the
+    relation made from its explicit up-sets."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_and_hashes_like_its_explicit_up(self, seed):
+        rel = random_relation(random.Random(seed), 9)
+        count = rel.count_pairs()
+        assert "up" not in vars(rel)
+        explicit = BaseRelation(rel.universe, dict(rel.up))
+        assert rel == explicit and explicit == rel and not rel != explicit
+        assert hash(rel) == hash(explicit) and len({rel, explicit}) == 1
+        assert count == explicit.count_pairs() == len(rel.weak)
+        assert rel.up is rel.up
+
+    @pytest.mark.parametrize("touched", [False, True], ids=["masks", "masks-and-up"])
+    def test_pickle_round_trip(self, touched):
+        rel = build_base_relation(mixed_facts(random.Random(1), 9), extra_universe={"z"})
+        if touched:
+            rel.weak
+        copy = pickle.loads(pickle.dumps(rel))
+        assert copy == rel and hash(copy) == hash(rel)
+        assert copy.count_pairs() == rel.count_pairs()
+        for a, b in itertools.product(sorted(rel.universe), repeat=2):
+            assert copy.classify(a, b) is rel.classify(a, b)
+            if copy.classify(a, b) is RelKind.EQUIV:
+                assert copy.up[a] is copy.up[b]
+
+    def test_equivalent_alternatives_share_one_up_set(self):
+        rel = build_base_relation([equiv("a", "b"), weak("b", "c"), weak("c", "a"), strict("c", "d")])
+        assert rel.up["a"] is rel.up["b"] is rel.up["c"] == {"a", "b", "c", "d"}
+        assert rel.up["d"] == {"d"}
+
+
+class TestRestrict:
+    def test_induced_preorder_on_the_known_alternatives(self):
+        rel = build_base_relation([strict("a", "b"), equiv("b", "c"), weak("c", "d")], {"e"})
+        small = rel.restrict(["d", "b", "zz", "a", "b", "c"])
+        assert small == BaseRelation(frozenset("abcd"), {
+            "a": frozenset("abcd"), "b": frozenset("bcd"), "c": frozenset("bcd"), "d": frozenset("d"),
+        })
+        assert small.up["b"] is small.up["c"]
+        assert "up" not in vars(rel)
+        with pytest.raises(UnknownAlternative):
+            small.classify("a", "e")
+        assert rel.restrict([]) == BaseRelation(frozenset(), {})
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_classifies_every_chosen_pair_as_the_whole(self, seed):
+        rng = random.Random(seed)
+        rel = random_relation(rng, 9) if seed % 3 else rng.choice(all_relations(3))
+        alts = sorted(rel.universe)
+        chosen = rng.sample(alts, rng.randint(0, len(alts))) + ["unknown"]
+        small = rel.restrict(chosen)
+        assert small.universe == set(chosen) - {"unknown"}
+        # masks or explicit up-sets: one result
+        assert BaseRelation(rel.universe, dict(rel.up)).restrict(chosen) == small
+        assert small.count_pairs() == len(small.weak)
+        for a, b in itertools.product(small.universe, repeat=2):
+            assert small.classify(a, b) is rel.classify(a, b)
+            if small.classify(a, b) is RelKind.EQUIV:
+                assert small.up[a] is small.up[b]
