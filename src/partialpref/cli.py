@@ -98,12 +98,6 @@ def _load_relation(path: str):
     return dsl.relation_from_document(dsl.parse_prefs(_read_text(path)))
 
 
-def _restricted(rel, lotteries):
-    """``rel`` restricted to the alternatives of ``lotteries``: the engine
-    tests no other pair, nor meets another unknown alternative."""
-    return rel.restrict(a for lot in lotteries for a, _ in lot.entries)
-
-
 def _load_lotteries(path: str, normalize: bool):
     """The named lotteries of a lottery file, and the file's text."""
     text = _read_text(path)
@@ -111,11 +105,16 @@ def _load_lotteries(path: str, normalize: bool):
 
 
 @contextlib.contextmanager
-def _placed_in(text: str):
-    """Place an unknown alternative at its first mention in the lottery
-    file ``text``."""
+def _restricted(rel, lotteries, text: str):
+    """``rel`` restricted to the alternatives of ``lotteries``: the engine
+    tests no other pair.  Every one of those alternatives must be known:
+    the first unknown one the engine meets, or else the first in the order
+    of ``lotteries`` and their entries, is placed at its first mention in
+    the lottery file ``text``."""
+    alternatives = [a for lot in lotteries for a, _ in lot.entries]
     try:
-        yield
+        yield rel.restrict(alternatives)
+        rel._require(*alternatives)
     except UnknownAlternative as exc:
         place = dsl.locate_alternative(text, exc.ident)
         raise exc.at(*place) if place else exc
@@ -142,8 +141,8 @@ def _cmd_compare(args, out, err) -> int:
             print(f"unknown lottery name: {name!r}", file=err)
             return 1
     f, g = lots[args.name1], lots[args.name2]
-    with _placed_in(text):
-        verdict = engine.compare(_restricted(rel, (f, g)), f, g)
+    with _restricted(rel, (f, g), text) as small:
+        verdict = engine.compare(small, f, g)
     if args.format == "tsv":
         line = dsl.render_verdict(verdict, verbose=args.verbose, sep="\t")
         print(f"{args.name1}\t{args.name2}\t{line}", file=out)
@@ -155,8 +154,8 @@ def _cmd_compare(args, out, err) -> int:
 def _cmd_filter(args, out, err) -> int:
     rel = _load_relation(args.prefs)
     lots, text = _load_lotteries(args.lotteries, args.normalize)
-    with _placed_in(text):
-        kept = engine.maximal_filter(_restricted(rel, lots.values()), list(lots.items()))
+    with _restricted(rel, lots.values(), text) as small:
+        kept = engine.maximal_filter(small, list(lots.items()))
     for name, _ in kept:
         print(name, file=out)
     return 0
@@ -202,8 +201,8 @@ def _cmd_check(args, out, err) -> int:
 def _cmd_saturate(args, out, err) -> int:
     rel = _load_relation(args.prefs)
     lots, text = _load_lotteries(args.lotteries, args.normalize)
-    with _placed_in(text):
-        facts = engine.saturate(_restricted(rel, lots.values()), list(lots.values()))
+    with _restricted(rel, lots.values(), text) as small:
+        facts = engine.saturate(small, list(lots.values()))
     sep = "\t" if args.format == "tsv" else " "
     for x, f in lots.items():
         for y, g in lots.items():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import MalformedId, StrictViolation, UnknownAlternative
 
@@ -21,7 +21,6 @@ __all__ = [
     "PrefFact",
     "BaseRelation",
     "check_id",
-    "classify_pair",
     "render_symbols",
     "build_base_relation",
 ]
@@ -70,11 +69,6 @@ def render_symbols(kinds, sep: str = " ") -> str:
 
 # the kind of (a, b), indexed by [a <= b][b <= a]
 _KIND = ((RelKind.INCOMP, RelKind.GREATER), (RelKind.LESS, RelKind.EQUIV))
-
-
-def classify_pair(weak, a, b) -> RelKind:
-    """Four-way classification of (a, b) under a set of weak pairs."""
-    return _KIND[(a, b) in weak][(b, a) in weak]
 
 
 class FactKind(Enum):
@@ -149,23 +143,27 @@ class PrefFact(namedtuple("PrefFact", "kind left right")):
 class BaseRelation:
     """Reflexive-transitive closure of declared facts over a universe.
 
-    ``up[a]`` is the set of alternatives b with a <= b, a itself included;
-    the members of one equivalence class share one frozenset.  A relation
-    from :func:`build_base_relation` keeps its closure as one bitmask per
-    alternative and builds ``up`` from the masks on first access.  Equality
-    compares both fields; the hash reads the universe alone, as ``up`` is a
-    dict.
+    The closure is kept as one bitmask per alternative: alternative a is
+    bit ``_index[a]``, and ``_masks[a]`` has the bits of every b with
+    a <= b.  ``up[a]``, the set of those b, is built from the masks on
+    first access; the members of one equivalence class share one
+    frozenset.  Equality compares the universe and ``up``; the hash reads
+    the universe alone, as ``up`` is a dict.
     """
 
     def __init__(self, universe: frozenset[str], up: dict[str, frozenset[str]]):
-        self.__dict__.update(universe=universe, up=up)
+        """The relation whose up-sets are ``up``, which need not be closed."""
+        index = {a: i for i, a in enumerate(dict.fromkeys(chain(universe, up, *up.values())))}
+        masks = {a: sum(1 << index[b] for b in above) for a, above in up.items()}
+        self.__dict__.update(universe=universe, _index=index, _masks=masks)
 
     @classmethod
-    def _from_masks(cls, index: dict[str, int], masks: dict[str, int]) -> "BaseRelation":
-        """The relation whose alternative a is bit ``index[a]`` and whose
-        ``up[a]`` has the bits of ``masks[a]``."""
+    def _from_masks(
+        cls, universe: frozenset[str], index: dict[str, int], masks: dict[str, int]
+    ) -> "BaseRelation":
+        """The relation on ``universe`` whose ``up[a]`` has the bits of ``masks[a]``."""
         rel = cls.__new__(cls)
-        rel.__dict__.update(universe=frozenset(index), _index=index, _masks=masks)
+        rel.__dict__.update(universe=universe, _index=index, _masks=masks)
         return rel
 
     __setattr__ = __delattr__ = _read_only
@@ -198,40 +196,22 @@ class BaseRelation:
         return frozenset((a, b) for a, bs in self.up.items() for b in bs)
 
     def count_pairs(self) -> int:
-        """``len(self.weak)``, counted on the masks when there are any."""
-        masks = self.__dict__.get("_masks")
-        if masks is None:
-            return sum(map(len, self.up.values()))
-        return sum(mask.bit_count() for mask in masks.values())
+        """``len(self.weak)``, counted on the masks."""
+        return sum(mask.bit_count() for mask in self._masks.values())
 
     def restrict(self, alternatives) -> "BaseRelation":
         """The preorder induced on those of ``alternatives`` that are in the
-        universe: each one's up-set cut down to them.
+        universe: each one's mask cut down to their bits.
 
         Every pair of those alternatives classifies as in ``self``, and
         every other alternative is unknown to the result.
         """
         keep = [a for a in dict.fromkeys(alternatives) if a in self.universe]
-        cut: dict = {}  # an up-set, or its mask, to its cut: one per class
-        up = {}
-        index = self.__dict__.get("_index")
-        if index is None:
-            chosen = frozenset(keep)
-            for a in keep:
-                above = self.up[a]
-                if above not in cut:
-                    cut[above] = above & chosen
-                up[a] = cut[above]
-        else:
-            chosen = 0
-            for a in keep:
-                chosen |= 1 << index[a]
-            for a in keep:
-                mask = self._masks[a] & chosen
-                if mask not in cut:
-                    cut[mask] = frozenset(_members(index, mask))
-                up[a] = cut[mask]
-        return BaseRelation(frozenset(keep), up)
+        chosen = 0
+        for a in keep:
+            chosen |= 1 << self._index[a]
+        masks = {a: self._masks[a] & chosen for a in keep}
+        return BaseRelation._from_masks(frozenset(keep), self._index, masks)
 
     def _require(self, *alternatives: str) -> None:
         """Raise for the first of ``alternatives`` outside the universe."""
@@ -326,4 +306,4 @@ def build_base_relation(facts, extra_universe=None) -> BaseRelation:
     for a, b in stricts:
         if masks[b] >> index[a] & 1:
             raise StrictViolation(a, b)
-    return BaseRelation._from_masks(index, masks)
+    return BaseRelation._from_masks(frozenset(index), index, masks)

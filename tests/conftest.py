@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from partialpref.lottery import Lottery, make_lottery
-from partialpref.relation import BaseRelation, FactKind, PrefFact, build_base_relation
+from partialpref.relation import BaseRelation, FactKind, PrefFact, RelKind, build_base_relation
 
 
 def alt_names(n: int) -> list[str]:
@@ -34,7 +34,13 @@ def random_relation(rng: random.Random, n: int) -> BaseRelation:
 
 
 def all_relations(n: int) -> list[BaseRelation]:
-    """Every preorder on n alternatives, by brute-force transitivity filter."""
+    """Every preorder on n alternatives, built from its up-sets."""
+    return [BaseRelation(universe=frozenset(alt_names(n)), up=up) for up in all_up_sets(n)]
+
+
+def all_up_sets(n: int) -> list[dict[str, frozenset[str]]]:
+    """The up-sets of every preorder on n alternatives, by brute-force
+    transitivity filter."""
     alts = alt_names(n)
     free = [(a, b) for a, b in itertools.permutations(alts, 2)]
     out = []
@@ -47,9 +53,23 @@ def all_relations(n: int) -> list[BaseRelation]:
             (a, c) not in weak for (a, b) in weak for (b2, c) in weak if b == b2
         ):
             continue
-        up = {a: frozenset(b for x, b in weak if x == a) for a in alts}
-        out.append(BaseRelation(universe=frozenset(alts), up=up))
+        out.append({a: frozenset(b for x, b in weak if x == a) for a in alts})
     return out
+
+
+def judgments_left(facts, f, g) -> set[RelKind]:
+    """The judgments between f and g that saturated ``facts`` leave possible."""
+    E, L, G, I = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP
+    left = {E, L, G, I}
+    if (f, g) in facts.weak:
+        left -= {G, I}
+    if (g, f) in facts.weak:
+        left -= {L, I}
+    if (f, g) in facts.strict:
+        left -= {E, G, I}
+    if (g, f) in facts.strict:
+        left -= {E, L, I}
+    return left
 
 
 def grid_lotteries(alts: list[str], denom: int) -> list[Lottery]:

@@ -20,10 +20,18 @@ from partialpref.casetable import (
     verify_table,
 )
 from partialpref.errors import DslSyntaxError, ForeignLottery, InconsistentTuple, TableMismatch
+from partialpref.engine import compare, saturate
 from partialpref.lottery import Lottery, convex_combine, make_lottery
-from partialpref.relation import KIND_INDEX, RelKind, classify_pair
+from partialpref.relation import KIND_INDEX, RelKind
 
-from conftest import all_relations, alt_names, eu_utility, lottery_utility, random_grid_lottery
+from conftest import (
+    all_relations,
+    alt_names,
+    eu_utility,
+    judgments_left,
+    lottery_utility,
+    random_grid_lottery,
+)
 
 E, L, G, I = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP
 
@@ -41,7 +49,7 @@ class TestConsistentTuples:
         # the 4,096 reflexive relations on f1, f2, g1, g2 filtered for transitivity
         f1, f2, g1, g2 = alt_names(4)
         found = {
-            case(*(classify_pair(rel.weak, f, g) for f, g in ((f1, g1), (f1, g2), (f2, g1), (f2, g2))))
+            case(*(rel.classify(f, g) for f, g in ((f1, g1), (f1, g2), (f2, g1), (f2, g2))))
             for rel in all_relations(4)
         }
         assert consistent_tuples() == tuple(sorted(found, key=lambda t: [KIND_INDEX[k] for k in t]))
@@ -117,6 +125,36 @@ class TestTableRegeneration:
 
     def test_render_equals_bundled_text(self):
         assert render_table(regenerate_table()) == bundled_table_text()
+
+    @staticmethod
+    def engine_rows(alpha):
+        """Each row's judgments of hf = alpha*f1 + (1-alpha)*f2 against
+        hg = alpha*g1 + (1-alpha)*g2 that both ``saturate``'s facts and
+        ``compare`` leave, united over the preorders on f1, f2, g1 and g2
+        that project to the row."""
+        f1, f2, g1, g2 = alt_names(4)
+        draws = [Lottery.degenerate(a) for a in (f1, f2, g1, g2)]
+        hf, hg = convex_combine(alpha, *draws[:2]), convex_combine(alpha, *draws[2:])
+        rows = {}
+        for rel in all_relations(4):
+            t = case(*(rel.classify(f, g) for f, g in ((f1, g1), (f1, g2), (f2, g1), (f2, g2))))
+            left = judgments_left(saturate(rel, [*draws, hf, hg]), hf, hg)
+            rows.setdefault(t, set()).update(left & compare(rel, hf, hg).members)
+        return rows
+
+    def test_table_is_a_consequence_of_the_engine(self):
+        # the table's generic coefficient is the union over alpha in
+        # {1/3, 2/3}; alpha = 1/3 alone is narrower on four rows, alpha = 1/2
+        # alone on 33, and neither is wider on any.  On a failure, find
+        # whether the engine or the table is wrong before changing either.
+        table = {t: outcome.members for t, outcome in regenerate_table()}
+        third, two_thirds, half = (self.engine_rows(F(k, 6)) for k in (2, 4, 3))
+        assert {t: third[t] | two_thirds[t] for t in table} == table
+        assert third.keys() == half.keys() == table.keys()
+        assert all(third[t] <= table[t] and half[t] <= table[t] for t in table)
+        narrower = {t.symbols() for t in table if third[t] != table[t]}
+        assert narrower == {"<>>>", "><<<", "#<<<", "#>>>"}
+        assert sum(half[t] != table[t] for t in table) == 33
 
     def test_mismatch_reported_per_tuple(self):
         text = bundled_table_text().splitlines()

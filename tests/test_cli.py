@@ -295,6 +295,36 @@ class TestInputErrorsPlaced:
         assert (code, out) == (1, "")
         assert err == "line 2, column 10: alternative not in universe: 'zz'\n"
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["filter"], "f : a@1/2, zz@1/2\n"),
+            (["filter"], "f : a@1/2, zz@1/2\ng : zz@1/2, a@1/2\n"),
+            (["compare", "f", "f"], "f : a@1/2, zz@1/2\n"),
+            (["compare", "f", "g"], "f : a@1/2, zz@1/2\ng : zz@1/2, a@1/2\n"),
+        ],
+        ids=["filter-one-offer", "filter-one-distribution", "compare-itself",
+             "compare-one-distribution"],
+    )
+    def test_unknown_alternative_never_looked_up_is_placed(self, chain, tmp_path, argv, text):
+        # the engine compares no two distinct lotteries here, so it looks
+        # up no alternative; the unknown one is still an error
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code, out, err = invoke(argv[0], str(chain), str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "line 1, column 12: alternative not in universe: 'zz'\n"
+
+    def test_unknown_alternative_never_looked_up_named_in_file_order(self, chain, tmp_path):
+        # offers in file order, each lottery's alternatives in entries
+        # order: yy before zz, though zz comes first in the text of g
+        path = tmp_path / "input.txt"
+        path.write_text("f : a@1/2, yy@1/4, zz@1/4\ng : zz@1/4, a@1/2, yy@1/4\n")
+        for argv in (["filter"], ["compare", "g", "f"], ["compare", "g", "g"]):
+            code, out, err = invoke(argv[0], str(chain), str(path), *argv[1:])
+            assert (code, out) == (1, "")
+            assert err == "line 1, column 12: alternative not in universe: 'yy'\n"
+
     @pytest.mark.parametrize("command, code", [("validate", 2), ("filter", 1), ("saturate", 1)])
     def test_strict_violation_placed_at_declaration(self, lots, tmp_path, command, code):
         path = tmp_path / "bad.prefs"

@@ -28,7 +28,13 @@ from partialpref.lottery import (
 )
 from partialpref.relation import FactKind, PrefFact, RelKind, build_base_relation
 
-from conftest import all_relations, alt_names, random_grid_lottery, random_relation
+from conftest import (
+    all_relations,
+    alt_names,
+    judgments_left,
+    random_grid_lottery,
+    random_relation,
+)
 
 E, L, G, I = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP
 
@@ -544,20 +550,6 @@ def reference_saturate(rel, family):
     )
 
 
-def judgments_left(facts, f, g):
-    """The judgments between f and g that saturated ``facts`` leave possible."""
-    left = {E, L, G, I}
-    if (f, g) in facts.weak:
-        left -= {G, I}
-    if (g, f) in facts.weak:
-        left -= {L, I}
-    if (f, g) in facts.strict:
-        left -= {E, G, I}
-    if (g, f) in facts.strict:
-        left -= {E, L, I}
-    return left
-
-
 class TestSaturateAgreesWithCompare:
     """``saturate`` and ``compare`` encode one theory, so on one pair the
     judgments that ``saturate``'s facts leave possible meet ``compare``'s
@@ -663,9 +655,10 @@ class TestMaximalFilter:
 
     def test_queries_build_no_relation_wide_state(self):
         # a query pays for the supports it touches; building rel.weak or a
-        # cache over all 400 alternatives would cost more than a query.  On
-        # a restriction to the offers it builds no up-set of rel at all, and
-        # on rel itself nothing but the up-sets.
+        # cache over all 400 alternatives would cost more than a query.  A
+        # restriction to the offers shares rel's index and keeps a mask for
+        # its own alternatives alone, so queries on it build no up-set of
+        # rel at all; on rel itself they build nothing but the up-sets.
         rng = random.Random(400)
         layers = [alt_names(400)[k:k + 20] for k in range(0, 400, 20)]
         facts = [PrefFact(FactKind.EQUIV, *rng.sample(layer, 2)) for layer in layers]
@@ -681,7 +674,8 @@ class TestMaximalFilter:
         small = rel.restrict(a for _, lot in offers for a, _ in lot.entries)
         compare(small, offers[0][1], offers[1][1])
         maximal_filter(small, offers)
-        assert vars(small).keys() == {"universe", "up"}
+        assert vars(small).keys() == {"universe", "_index", "_masks", "up"}
+        assert small._index is rel._index and small._masks.keys() == small.universe
         assert vars(rel).keys() == {"universe", "_index", "_masks"}
         compare(rel, offers[0][1], offers[1][1])
         maximal_filter(rel, offers)

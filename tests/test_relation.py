@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 from partialpref.errors import MalformedId, StrictViolation, UnknownAlternative
 from partialpref.lottery import Lottery
 from partialpref.relation import (
+    _KIND,
     BaseRelation,
     FactKind,
     PrefFact,
     RelKind,
     build_base_relation,
     check_id,
-    classify_pair,
 )
 
-from conftest import all_relations, alt_names, random_facts, random_relation
+from conftest import all_relations, all_up_sets, alt_names, random_facts, random_relation
 
 
 def strict(a, b):
@@ -142,7 +142,7 @@ def assert_matches_oracle(rel, facts):
     assert sum(len(above) for above in rel.up.values()) == len(rel.weak)
     for a, b in itertools.product(sorted(rel.universe), repeat=2):
         kind = rel.classify(a, b)
-        assert kind is classify_pair(closure, a, b), (a, b)
+        assert kind is _KIND[(a, b) in closure][(b, a) in closure], (a, b)
         if kind is RelKind.EQUIV:
             assert rel.up[a] is rel.up[b]
 
@@ -243,6 +243,25 @@ class TestMaskedClosure:
         assert rel.up["a"] is rel.up["b"] is rel.up["c"] == {"a", "b", "c", "d"}
         assert rel.up["d"] == {"d"}
 
+    @pytest.mark.parametrize("up", all_up_sets(3))
+    def test_explicit_up_sets_round_trip_through_the_masks(self, up):
+        universe = frozenset(alt_names(3))
+        rel = BaseRelation(universe, up)
+        assert rel.up == up
+        facts = [weak(a, b) for a, above in up.items() for b in above]
+        assert rel.count_pairs() == len(rel.weak) == len(oracle_closure(universe, facts))
+        for a, b in itertools.product(universe, repeat=2):
+            if rel.classify(a, b) is RelKind.EQUIV:
+                assert rel.up[a] is rel.up[b]
+        assert rel == build_base_relation(facts, extra_universe=universe)
+
+    @pytest.mark.parametrize("up", [{}, {"a": frozenset()}, {"a": frozenset("b")}])
+    def test_any_up_dict_round_trips(self, up):
+        # up-sets that are not reflexive or name alternatives outside the
+        # universe are kept as given
+        rel = BaseRelation(frozenset("a"), up)
+        assert rel.up == up and rel.count_pairs() == sum(map(len, up.values()))
+
 
 class TestRestrict:
     def test_induced_preorder_on_the_known_alternatives(self):
@@ -265,10 +284,23 @@ class TestRestrict:
         chosen = rng.sample(alts, rng.randint(0, len(alts))) + ["unknown"]
         small = rel.restrict(chosen)
         assert small.universe == set(chosen) - {"unknown"}
-        # masks or explicit up-sets: one result
+        # built from facts or from its up-sets: one restriction
         assert BaseRelation(rel.universe, dict(rel.up)).restrict(chosen) == small
         assert small.count_pairs() == len(small.weak)
         for a, b in itertools.product(small.universe, repeat=2):
             assert small.classify(a, b) is rel.classify(a, b)
             if small.classify(a, b) is RelKind.EQUIV:
                 assert small.up[a] is small.up[b]
+
+    @pytest.mark.parametrize("up", all_up_sets(3))
+    def test_explicit_up_sets_restrict_as_the_facts(self, up):
+        universe = frozenset(alt_names(3))
+        rel = BaseRelation(universe, up)
+        built = build_base_relation(
+            [weak(a, b) for a, above in up.items() for b in above], extra_universe=universe
+        )
+        for k in range(4):
+            for chosen in itertools.permutations(sorted(universe) + ["unknown"], k):
+                small = rel.restrict(chosen)
+                assert small == built.restrict(chosen)
+                assert small.count_pairs() == len(small.weak)
