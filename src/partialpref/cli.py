@@ -105,6 +105,17 @@ def _load_lotteries(path: str, normalize: bool):
 
 
 @contextlib.contextmanager
+def _placed(text: str):
+    """Place an :class:`UnknownAlternative` raised in the block at the
+    alternative's first mention in the lottery or model file ``text``."""
+    try:
+        yield
+    except UnknownAlternative as exc:
+        place = dsl.locate_alternative(text, exc.ident)
+        raise exc.at(*place) if place else exc
+
+
+@contextlib.contextmanager
 def _restricted(rel, lotteries, text: str):
     """``rel`` restricted to the alternatives of ``lotteries``: the engine
     tests no other pair.  Every one of those alternatives must be known:
@@ -112,12 +123,9 @@ def _restricted(rel, lotteries, text: str):
     of ``lotteries`` and their entries, is placed at its first mention in
     the lottery file ``text``."""
     alternatives = [a for lot in lotteries for a, _ in lot.entries]
-    try:
+    with _placed(text):
         yield rel.restrict(alternatives)
         rel._require(*alternatives)
-    except UnknownAlternative as exc:
-        place = dsl.locate_alternative(text, exc.ident)
-        raise exc.at(*place) if place else exc
 
 
 def _cmd_validate(args, out, err) -> int:
@@ -179,8 +187,11 @@ def _cmd_table(args, out, err) -> int:
 
 def _cmd_check(args, out, err) -> int:
     rel = _load_relation(args.prefs)
-    doc, pairs = dsl.parse_model(_read_text(args.model))
+    text = _read_text(args.model)
+    doc, pairs = dsl.parse_model(text)
     lots = dsl.lotteries_from_document(doc, normalize=args.normalize)
+    with _placed(text):
+        rel._require(*(a for lot in lots.values() for a, _ in lot.entries))
     weak = frozenset((lots[left], lots[right]) for left, right in pairs)
     model = casetable.FiniteModel(family=tuple(lots.values()), weak=weak)
     violations = casetable.check_axioms(model, rel)

@@ -16,7 +16,7 @@ Lifts the base preorder on alternatives to lottery pairs:
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
@@ -153,47 +153,68 @@ def dominates(rel: BaseRelation, f: Lottery, g: Lottery) -> bool:
 def _max_flow(excess: list[int], deficit: list[int], edges):
     """Integer max flow from sources with ``excess`` to sinks with ``deficit``.
 
-    ``edges`` are the (source, sink) index pairs that may carry any
-    amount.  Returns (value, flow) where flow maps (source, sink) to a
-    positive amount.  BFS augmenting paths over node indices: sources
-    0..n-1, sinks n..n+m-1, then the super source and the super sink.
+    ``edges`` are the distinct (source, sink) index pairs that may carry
+    any amount.  Returns (value, flow) where flow maps (source, sink) to a
+    positive amount, in edge order.  Edmonds-Karp: each round augments
+    along the first path a breadth-first search meets, visiting the
+    sources with excess left in index order, then from each source its
+    sinks in edge order and from each sink whose deficit is met its
+    sources in edge order, with flow to cancel; the first sink popped with
+    deficit left ends the search.  An edge's capacity never binds: it
+    carries at most its source's excess.
     """
-    n, m = len(excess), len(deficit)
-    s, t = n + m, n + m + 1
-    total = sum(excess)
-    cap: list[dict[int, int]] = [{} for _ in range(t + 1)]  # residual capacity
-    arcs = [(s, i, x) for i, x in enumerate(excess)]
-    arcs += [(n + j, t, y) for j, y in enumerate(deficit)]
-    arcs += [(i, n + j, total) for i, j in edges]
-    for u, v, c in arcs:
-        cap[u][v] = c
-        cap[v][u] = 0
-
+    n = len(excess)
+    sinks_of = [[] for _ in range(n)]  # each source's sinks, in edge order
+    sources_of = [[] for _ in deficit]  # each sink's sources, in edge order
+    for i, j in edges:
+        sinks_of[i].append(j)
+        sources_of[j].append(i)
+    excess, deficit = list(excess), list(deficit)  # what is left of each
+    flow = dict.fromkeys(edges, 0)
     value = 0
     while True:
-        parent = [-1] * (t + 1)
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] < 0:
-            u = queue.popleft()
-            for v, c in cap[u].items():
-                if c and parent[v] < 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] < 0:
-            break
-        path = []
-        v = t
-        while v != s:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = min(cap[u][v] for u, v in path)
-        for u, v in path:
-            cap[u][v] -= bottleneck
-            cap[v][u] += bottleneck
+        # node k < n is source k, node n + j is sink j; parent n + m is
+        # the super source
+        parent = [-1] * (n + len(deficit))
+        queue = [i for i in range(n) if excess[i]]
+        for i in queue:
+            parent[i] = len(parent)
+        end = None
+        for u in queue:  # the list grows as the search goes
+            if u < n:
+                for j in sinks_of[u]:
+                    if parent[n + j] < 0:
+                        parent[n + j] = u
+                        queue.append(n + j)
+            elif deficit[u - n]:
+                end = u - n
+                break
+            else:
+                j = u - n
+                for i in sources_of[j]:
+                    if parent[i] < 0 and flow[i, j]:
+                        parent[i] = u
+                        queue.append(i)
+        if end is None:
+            return value, {e: x for e, x in flow.items() if x}
+        # the path from the sink back to its first source: edges that gain
+        # flow, and edges whose flow it cancels
+        gain, cancel = [], []
+        start, j = parent[n + end], end
+        gain.append((start, j))
+        while parent[start] < len(parent):
+            j = parent[start] - n
+            cancel.append((start, j))
+            start = parent[n + j]
+            gain.append((start, j))
+        bottleneck = min(excess[start], deficit[end], *(flow[e] for e in cancel))
+        excess[start] -= bottleneck
+        deficit[end] -= bottleneck
+        for e in gain:
+            flow[e] += bottleneck
+        for e in cancel:
+            flow[e] -= bottleneck
         value += bottleneck
-    flow = {(i, j): cap[n + j][i] for i, j in edges if cap[n + j][i]}
-    return value, flow
 
 
 def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
@@ -263,8 +284,21 @@ def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
     if f == g:
         return AdmissibleSet(frozenset({RelKind.EQUIV}), ("identity: f = g",))
     kinds = _support_kinds(rel, f, g)
-    fg, gf = shift_reachable(rel, f, g), shift_reachable(rel, g, f)
-    return AdmissibleSet.refute((
+    return _verdict(kinds, shift_reachable(rel, f, g), shift_reachable(rel, g, f))
+
+
+# the verdict of each support-kinds mask when neither shift exists, filled
+# on first use; an AdmissibleSet is immutable, so pairs share it
+_NO_SHIFT: dict[int, AdmissibleSet] = {}
+
+
+def _verdict(kinds: int, fg, gf) -> AdmissibleSet:
+    """The judgments rules R1-R5 leave for a pair whose support pairs have
+    the ``kinds`` mask and whose shift plans, either way, are fg and gf."""
+    no_shift = fg is None and gf is None
+    if no_shift and kinds in _NO_SHIFT:
+        return _NO_SHIFT[kinds]
+    verdict = AdmissibleSet.refute((
         (not kinds & _MASK["<="]
          and "R1 dominance f <= g: every support pair is < or ~", REFUTES["<="]),
         (not kinds & _MASK[">="]
@@ -276,6 +310,9 @@ def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
         (not kinds & _MASK["!>"]
          and "R5 no support pair is >, so f > g is impossible", REFUTES["!>"]),
     ))
+    if no_shift:
+        _NO_SHIFT[kinds] = verdict
+    return verdict
 
 
 def consequences(table, mixes, size, weak, strict):
@@ -415,7 +452,10 @@ def maximal_filter(rel: BaseRelation, offers) -> list[tuple[str, Lottery]]:
 
     ``offers`` is a sequence of (name, lottery) pairs; an offer is dropped
     only when compare against some other offer is the singleton {Less}.
-    Output preserves input order.
+    Each offer meets the others in descending order of their total mass
+    on the up-sets of :func:`up_masses`, input order among equals, so a
+    kept offer still runs one compare per other distinct offer.  Output
+    preserves input order.
     """
     named = list(offers)
     seen = set()
@@ -423,13 +463,22 @@ def maximal_filter(rel: BaseRelation, offers) -> list[tuple[str, Lottery]]:
         if name in seen:
             raise DuplicateOfferName(name)
         seen.add(name)
-    kept = []
-    for name, lot in named:
-        dominated = any(
-            other != lot
-            and compare(rel, lot, other).members == _ONLY_LESS
-            for _, other in named
-        )
-        if not dominated:
-            kept.append((name, lot))
-    return kept
+    lots = [lot for _, lot in named]
+    first = lots[0] if lots else None
+    rival = next((lot for lot in lots if lot != first), None)
+    if rival is None:  # no two offers differ: nothing to compare
+        return named
+    # the unknown alternative that an input-order scan meets first: the
+    # first compare's lookups, then every offer's alternatives
+    rel._require(first.entries[0][0], *(a for a, _ in rival.entries),
+                 *(a for lot in lots for a, _ in lot.entries))
+    # a strict shift raises the total up-set mass, so the likeliest
+    # dominators come first and a dropped offer usually stops at one compare
+    totals = [-sum(mass) for mass in up_masses(rel, lots)]
+    scan = [lots[k] for k in sorted(range(len(lots)), key=totals.__getitem__)]
+    return [
+        (name, lot)
+        for name, lot in named
+        if not any(other != lot and compare(rel, lot, other).members == _ONLY_LESS
+                   for other in scan)
+    ]

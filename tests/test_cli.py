@@ -325,6 +325,27 @@ class TestInputErrorsPlaced:
             assert (code, out) == (1, "")
             assert err == "line 1, column 12: alternative not in universe: 'yy'\n"
 
+    @pytest.mark.parametrize(
+        "text, place, ident",
+        [
+            ("f : a@1\ng : b@1/2, zz@1/2\nf <= f\ng <= g\nf <= g\n", "line 2, column 12", "zz"),
+            # a comment is no mention
+            ("# zz\nf : a@1\nf <= g\ng : zz@1\n", "line 4, column 5", "zz"),
+            # lotteries in file order, each one's alternatives in entries
+            # order: yy before zz, though zz comes first in the text
+            ("f : a@1/2, yy@1/2\ng : zz@1/2, yy@1/2\n", "line 1, column 12", "yy"),
+            ("f : zz@1/2, a@1/4, yy@1/4\n", "line 1, column 20", "yy"),
+        ],
+        ids=["clean-model", "after-a-comment", "file-order", "entries-order"],
+    )
+    def test_check_rejects_an_alternative_outside_the_universe(self, chain, tmp_path, text,
+                                                               place, ident):
+        path = tmp_path / "input.model"
+        path.write_text(text)
+        code, out, err = invoke("check", str(chain), str(path))
+        assert (code, out) == (1, "")
+        assert err == f"{place}: alternative not in universe: {ident!r}\n"
+
     @pytest.mark.parametrize("command, code", [("validate", 2), ("filter", 1), ("saturate", 1)])
     def test_strict_violation_placed_at_declaration(self, lots, tmp_path, command, code):
         path = tmp_path / "bad.prefs"

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -97,6 +98,58 @@ def mixed_relation(rng, most=6):
         if all(u[a] <= u[b] for u in us)
     ]
     return build_base_relation(facts, extra_universe=set(alts))
+
+
+def residual_graph_max_flow(excess, deficit, edges):
+    """Edmonds-Karp on a dict-of-dicts residual graph: sources 0..n-1,
+    sinks n..n+m-1, then a super source and a super sink, each node's
+    arcs in insertion order.  The engine's max-flow must find the same
+    augmenting paths, so the same (value, flow)."""
+    n, m = len(excess), len(deficit)
+    s, t = n + m, n + m + 1
+    total = sum(excess)
+    cap = [{} for _ in range(t + 1)]  # residual capacity
+    arcs = [(s, i, x) for i, x in enumerate(excess)]
+    arcs += [(n + j, t, y) for j, y in enumerate(deficit)]
+    arcs += [(i, n + j, total) for i, j in edges]
+    for u, v, c in arcs:
+        cap[u][v] = c
+        cap[v][u] = 0
+    value = 0
+    while True:
+        parent = [-1] * (t + 1)
+        parent[s] = s
+        queue = collections.deque([s])
+        while queue and parent[t] < 0:
+            u = queue.popleft()
+            for v, c in cap[u].items():
+                if c and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[t] < 0:
+            break
+        path = []
+        v = t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(cap[u][v] for u, v in path)
+        for u, v in path:
+            cap[u][v] -= bottleneck
+            cap[v][u] += bottleneck
+        value += bottleneck
+    flow = {(i, j): cap[n + j][i] for i, j in edges if cap[n + j][i]}
+    return value, flow
+
+
+def input_order_filter(rel, offers):
+    """``maximal_filter`` scanning the other offers in input order."""
+    return [
+        (name, lot)
+        for name, lot in offers
+        if not any(other != lot and compare(rel, lot, other).members == {L}
+                   for _, other in offers)
+    ]
 
 
 @pytest.fixture
@@ -270,6 +323,46 @@ class TestShiftReachable:
         assert feasible >= 100 and infeasible >= 100
 
 
+class TestMaxFlow:
+    @staticmethod
+    def instance(rng):
+        """1-5 sources and 1-5 sinks with equal excess and deficit totals,
+        each source-sink pair an edge with one probability from 0.3 to
+        0.9, the edges shuffled."""
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.uniform(0.3, 0.9)
+        edges = [(i, j) for i in range(n) for j in range(m) if rng.random() < density]
+        rng.shuffle(edges)
+        total = rng.randint(max(n, m), 40)
+
+        def split(k):
+            cuts = sorted(rng.sample(range(1, total), k - 1))
+            return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+        return split(n), split(m), edges
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_paths_as_the_residual_graph_oracle(self, seed):
+        rng = random.Random(f"max-flow-{seed}")
+        full = partial = 0
+        for _ in range(5000):
+            excess, deficit, edges = self.instance(rng)
+            value, flow = engine._max_flow(excess, deficit, edges)
+            expected = residual_graph_max_flow(excess, deficit, edges)
+            assert (value, list(flow.items())) == (expected[0], list(expected[1].items()))
+            if value == sum(excess):
+                full += 1
+            else:
+                partial += 1
+        assert full >= 500 and partial >= 500
+
+    def test_rerouting_cancels_flow(self):
+        # the first path fills 0 -> 0; source 1 reaches sink 1 only by
+        # pushing source 0's flow over to sink 1
+        assert engine._max_flow([1, 1], [1, 1], [(0, 0), (0, 1), (1, 0)]) == (
+            2, {(0, 1): 1, (1, 0): 1})
+
+
 class TestCompare:
     def test_identity(self, chain_ab):
         f = make_lottery([("a", F(1, 2)), ("b", F(1, 2))])
@@ -323,6 +416,24 @@ class TestCompare:
         profile = cross_profile(rel, f, g)
         if set(profile.values()) <= {E, I}:
             assert v_fg.members <= {E, I}
+
+    @pytest.mark.parametrize("kinds", range(16))
+    def test_verdict_table_without_shifts(self, kinds):
+        # kinds bits: INCOMP 1, GREATER 2, LESS 4, EQUIV 8
+        pairs = {k for bit, k in zip((1, 2, 4, 8), (I, G, L, E)) if kinds & bit}
+        expected = engine.AdmissibleSet.refute((
+            (pairs <= {L, E} and "R1 dominance f <= g: every support pair is < or ~",
+             engine.REFUTES["<="]),
+            (pairs <= {G, E} and "R2 dominance g <= f: every support pair is > or ~",
+             engine.REFUTES[">="]),
+            (L not in pairs and "R4 no support pair is <, so f < g is impossible",
+             engine.REFUTES["!<"]),
+            (G not in pairs and "R5 no support pair is >, so f > g is impossible",
+             engine.REFUTES["!>"]),
+        ))
+        verdict = engine._verdict(kinds, None, None)
+        assert (verdict.members, verdict.provenance) == (expected.members, expected.provenance)
+        assert engine._NO_SHIFT[kinds] is verdict is engine._verdict(kinds, None, None)
 
 
 class TestSaturate:
@@ -680,6 +791,51 @@ class TestMaximalFilter:
         compare(rel, offers[0][1], offers[1][1])
         maximal_filter(rel, offers)
         assert vars(rel).keys() == {"universe", "_index", "_masks", "up"}
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scan_order_changes_no_result_and_no_error(self, seed):
+        # 0-7 offers over a small preorder, some naming an unknown
+        # alternative, some repeating an earlier offer's distribution
+        rng = random.Random(f"filter-order-{seed}")
+        dropped = raised = 0
+        for _ in range(500):
+            rel = mixed_relation(rng, 5)
+            pool = sorted(rel.universe) + rng.choice([[], [], ["zz"], ["yy", "zz"]])
+            lots = []
+            for _ in range(rng.randint(0, 7)):
+                if lots and rng.random() < 0.2:
+                    lots.append(rng.choice(lots))
+                else:
+                    alts = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+                    lots.append(random_grid_lottery(rng, alts, 6))
+            offers = [(f"o{i}", lot) for i, lot in enumerate(lots)]
+            got = outcome(lambda: maximal_filter(rel, offers))
+            assert got == outcome(lambda: input_order_filter(rel, offers))
+            raised += isinstance(got, tuple)
+            dropped += isinstance(got, list) and len(got) < len(offers)
+        assert raised >= 50 and dropped >= 50
+
+    @staticmethod
+    def compare_calls(monkeypatch, rel, offers):
+        calls = []
+        monkeypatch.setattr(engine, "compare", lambda *args: calls.append(args) or compare(*args))
+        maximal_filter(rel, offers)
+        return len(calls)
+
+    def test_likeliest_dominator_met_first(self, monkeypatch):
+        # on a chain, every offer but the top one stops at its first
+        # compare, against the top one; the input-order scan runs 20
+        alts = [f"a{k}" for k in range(6)]
+        rel = build_base_relation([strict(a, b) for a, b in zip(alts, alts[1:])])
+        offers = [(a, deg(a)) for a in alts]
+        assert self.compare_calls(monkeypatch, rel, offers) == 5 + 5
+        assert maximal_filter(rel, offers) == offers[-1:]
+
+    def test_kept_offer_meets_every_other(self, monkeypatch):
+        rel = build_base_relation([], extra_universe={f"a{k}" for k in range(6)})
+        offers = [(f"o{k}", deg(f"a{k}")) for k in range(6)]
+        assert self.compare_calls(monkeypatch, rel, offers) == 6 * 5
+        assert maximal_filter(rel, offers) == offers
 
     @pytest.mark.parametrize("seed", range(10))
     def test_nonempty_output_on_nonempty_input(self, seed):
