@@ -3,20 +3,25 @@ exhaustive case analysis of mixture pairs.
 
 Two independent routes compute the case table:
 
-* :func:`consistent_tuples` enumerates every reflexive transitive relation
-  on the four abstract elements f1, f2, g1, g2 and projects it onto the
-  four cross draws (f1,g1), (f1,g2), (f2,g1), (f2,g2);
+* :func:`consistent_tuples` keeps the tuples of judgments on the four cross
+  draws (f1,g1), (f1,g2), (f2,g1), (f2,g2) that some preorder on the four
+  abstract elements f1, f2, g1, g2 realizes, decided by
+  :func:`relation._close`, the closure that builds every ``BaseRelation``;
 * :func:`admissible_outcomes` applies the mixing and persistence rules to
   a tuple of draws for a generic coefficient in (0, 1).
 
 :func:`regenerate_table` combines both and must match the reviewed
 transcription shipped in ``data/case_table.txt`` byte-for-byte.
+:func:`admissible_outcomes` stays the outcome route: deriving the outcomes
+from ``saturate`` and ``compare`` takes about 1 s against about 2 ms here,
+so that derivation is a test, which checks this route on every row.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import product
 
 from .dsl import split_lines, token_column
 from .engine import REFUTES, AdmissibleSet, consequences, lift
@@ -28,7 +33,7 @@ from .errors import (
 )
 from .lottery import mixture_instances, mixture_table
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
-from .relation import _KIND, KIND_INDEX, KIND_ORDER, RelKind, render_symbols
+from .relation import _KIND, KIND_INDEX, KIND_ORDER, RelKind, _close, render_symbols
 
 __all__ = [
     "CaseTuple",
@@ -69,39 +74,31 @@ def _sort_key(t: CaseTuple):
 _DRAWS = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
-def _closed(row_a: int, b: int, row_b: int) -> bool:
-    """Row ``row_a`` of some a and row ``row_b`` of b keep a <= b <= c
-    transitive: b in row a implies row b within row a."""
-    return not row_a >> b & 1 or row_b & row_a == row_b
-
-
 @lru_cache(maxsize=None)
 def consistent_tuples() -> tuple[CaseTuple, ...]:
     """All draw tuples realizable by some preorder on {f1, f2, g1, g2}.
 
-    Writes a reflexive relation on the elements 0..3 (f1, f2, g1, g2) as
-    four 4-bit row masks, bit b of row a set iff a <= b, so each row has
-    8 choices.  Transitivity is the pairwise condition "b in row a implies
-    row b within row a", so the rows are chosen element by element and a
-    partial choice is dropped as soon as two of its rows break it; the 355
-    preorders on four elements survive.  Each is projected onto the four
-    cross draws.  Output is sorted lexicographically under the canonical
-    symbol order, which coincides with row-major reading of the table.
+    Each of the 256 tuples asserts a <= b for the draws (a, b) it judges
+    ~ or <, and b <= a for those it judges ~ or >.  :func:`relation._close`
+    closes those pairs on the elements 0..3 (f1, f2, g1, g2), and the tuple
+    is kept iff the closure judges every draw as the tuple does: the least
+    preorder containing the asserted pairs realizes the tuple iff any
+    preorder does.  ``product`` yields the tuples in the canonical symbol
+    order, the row-major reading of the table.
     """
-    preorders = [()]
-    for a in range(4):
-        preorders = [
-            rows + (row,)
-            for rows in preorders
-            for row in range(16)
-            if row >> a & 1
-            and all(_closed(rows[b], a, row) and _closed(row, b, rows[b]) for b in range(a))
-        ]
-    found = {
-        CaseTuple(*(_KIND[rows[f] >> g & 1][rows[g] >> f & 1] for f, g in _DRAWS))
-        for rows in preorders
-    }
-    return tuple(sorted(found, key=_sort_key))
+    E, L, G = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER
+    found = []
+    for kinds in product(KIND_ORDER, repeat=4):
+        succ = {0: [], 1: [], 2: [], 3: []}
+        for (f, g), kind in zip(_DRAWS, kinds):
+            if kind in (E, L):
+                succ[f].append(g)
+            if kind in (E, G):
+                succ[g].append(f)
+        index, masks = _close(succ)
+        if kinds == tuple([_KIND[masks[f] >> index[g] & 1][masks[g] >> index[f] & 1] for f, g in _DRAWS]):
+            found.append(CaseTuple(*kinds))
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)

@@ -168,34 +168,19 @@ def scale(lotteries) -> list[list[int]]:
     return vectors
 
 
-def _ray(origin, v) -> tuple[int, tuple[int, ...]]:
-    """``(steps, direction)`` with ``v - origin = steps * direction``.
-
-    ``direction`` is primitive: its entries have gcd 1, so two vectors lie
-    on one ray from ``origin`` iff their directions are equal, and one
-    lies between ``origin`` and the other iff it takes fewer steps.
-    Raises :class:`DegeneratePair` when v == origin.
-    """
-    diff = tuple(map(sub, v, origin))
-    steps = gcd(*diff)
-    if not steps:
-        raise DegeneratePair()
-    return steps, tuple(map(floordiv, diff, repeat(steps)))
-
-
 def decompose(h: Lottery, f: Lottery, g: Lottery):
     """Recover alpha in the open interval (0, 1) with h = alpha*f + (1-alpha)*g.
 
     Returns None when no such proper mixture coefficient exists (boundary
     decompositions h == f or h == g are deliberately excluded).  Raises
-    :class:`DegeneratePair` when f == g.
+    :class:`DegeneratePair` when f == g.  Otherwise alpha is h's entry in
+    row (0, 1) of :func:`mixture_table` over [f, g, h].
     """
-    vh, vf, vg = scale((h, f, g))
-    steps, direction = _ray(vg, vf)
-    if vh == vg:
+    if f == g:
+        raise DegeneratePair()
+    if h == f or h == g:
         return None
-    k, d = _ray(vg, vh)
-    return Fraction(k, steps) if d == direction and k < steps else None
+    return next((alpha for k, alpha, _ in mixture_table([f, g, h])[0, 1] if k == 2), None)
 
 
 def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction, int]]]:
@@ -204,11 +189,15 @@ def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction, 
     Maps each ordered index pair (i, j), i != j, to the list of
     (k, alpha, n), k ascending, with ``lotteries[k] = alpha*lotteries[i] +
     (1-alpha)*lotteries[j]``; the boundaries (i, 1, _) and (j, 0, 0) are
-    included.  Weights are scaled to integers over their common
-    denominator; from each base i the other vectors are grouped by their
-    ray (:func:`_ray`), so k lies between i and j iff it is on j's ray
-    from i in at most as many steps as j, and alpha is n of j's steps.
-    Keys are inserted in ``combinations`` order, (i, j) before (j, i).
+    included.  Raises :class:`DegeneratePair` when two members are equal.
+    Weights are scaled to integers over their common denominator.  From
+    each base i, every other vector is ``steps`` times a primitive
+    ``direction`` (entries with gcd 1) away, so two vectors lie on one ray
+    from i iff their directions are equal, and one lies between i and the
+    other iff it takes fewer steps.  So k lies between i and j iff it is on
+    j's ray from i in at most as many steps as j, and alpha is n of j's
+    steps.  Keys are inserted in ``combinations`` order, (i, j) before
+    (j, i).
     """
     vectors = scale(lotteries)
     fraction = cache(Fraction)  # one Fraction per coefficient
@@ -218,7 +207,12 @@ def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction, 
         on_ray: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for k, v in enumerate(vectors):
             if k != i:
-                steps, direction = rays[k] = _ray(origin, v)
+                diff = tuple(map(sub, v, origin))
+                steps = gcd(*diff)
+                if not steps:
+                    raise DegeneratePair()
+                direction = tuple(map(floordiv, diff, repeat(steps)))
+                rays[k] = steps, direction
                 on_ray.setdefault(direction, []).append((k, steps))
         for j in range(i + 1, len(vectors)):
             steps, direction = rays[j]

@@ -158,12 +158,11 @@ class BaseRelation:
         self.__dict__.update(universe=universe, _index=index, _masks=masks)
 
     @classmethod
-    def _from_masks(
-        cls, universe: frozenset[str], index: dict[str, int], masks: dict[str, int]
-    ) -> "BaseRelation":
-        """The relation on ``universe`` whose ``up[a]`` has the bits of ``masks[a]``."""
+    def _from_masks(cls, index: dict[str, int], masks: dict[str, int]) -> "BaseRelation":
+        """The relation on the keys of ``masks`` whose ``up[a]`` has the bits
+        of ``masks[a]``."""
         rel = cls.__new__(cls)
-        rel.__dict__.update(universe=universe, _index=index, _masks=masks)
+        rel.__dict__.update(universe=frozenset(masks), _index=index, _masks=masks)
         return rel
 
     __setattr__ = __delattr__ = _read_only
@@ -211,7 +210,7 @@ class BaseRelation:
         for a in keep:
             chosen |= 1 << self._index[a]
         masks = {a: self._masks[a] & chosen for a in keep}
-        return BaseRelation._from_masks(frozenset(keep), self._index, masks)
+        return BaseRelation._from_masks(self._index, masks)
 
     def _require(self, *alternatives: str) -> None:
         """Raise for the first of ``alternatives`` outside the universe."""
@@ -306,4 +305,4 @@ def build_base_relation(facts, extra_universe=None) -> BaseRelation:
     for a, b in stricts:
         if masks[b] >> index[a] & 1:
             raise StrictViolation(a, b)
-    return BaseRelation._from_masks(frozenset(index), index, masks)
+    return BaseRelation._from_masks(index, masks)

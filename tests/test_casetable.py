@@ -94,6 +94,21 @@ class TestAdmissibleOutcomes:
         with pytest.raises(InconsistentTuple):
             admissible_outcomes(case(E, L, L, E))
 
+    def test_rejects_exactly_the_unrealizable_tuples(self):
+        f1, f2, g1, g2 = alt_names(4)
+        realized = {
+            case(*(rel.classify(f, g) for f, g in ((f1, g1), (f1, g2), (f2, g1), (f2, g2))))
+            for rel in all_relations(4)
+        }
+        rejected = set()
+        for kinds in itertools.product(RelKind, repeat=4):
+            try:
+                admissible_outcomes(case(*kinds))
+            except InconsistentTuple:
+                rejected.add(case(*kinds))
+        assert len(rejected) == 90 and len(realized) == 166
+        assert rejected == {case(*kinds) for kinds in itertools.product(RelKind, repeat=4)} - realized
+
     def test_mirror_coherence(self):
         for t in consistent_tuples():
             mirrored = admissible_outcomes(t.mirror()).members

@@ -666,7 +666,7 @@ class TestSaturateAgreesWithCompare:
     judgments that ``saturate``'s facts leave possible meet ``compare``'s
     members, and a judgment ``saturate`` decides alone is a member.
     ``compare`` may be wider: it misses the pairs A4/A5 settle through a
-    mix of equivalent and strict moves (ROADMAP item 1)."""
+    mix of equivalent and strict moves (ROADMAP item 3)."""
 
     def test_saturate_judgments_meet_compare(self):
         rng = random.Random(1349)

@@ -292,6 +292,19 @@ class TestRestrict:
             if small.classify(a, b) is RelKind.EQUIV:
                 assert small.up[a] is small.up[b]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_universe_is_the_alternatives_with_a_mask(self, seed):
+        # a relation built from facts, and each restriction of it, has one
+        # mask per alternative of its universe and no other
+        facts = random_facts(random.Random(seed), 6)
+        for rel in (build_base_relation(facts), build_base_relation(facts, {"lone"})):
+            alts = sorted(rel.universe)
+            assert rel.universe == frozenset(rel._masks)
+            for k in range(len(alts) + 1):
+                for chosen in itertools.combinations(alts + ["unknown"], k):
+                    small = rel.restrict(chosen)
+                    assert small.universe == frozenset(small._masks)
+
     @pytest.mark.parametrize("up", all_up_sets(3))
     def test_explicit_up_sets_restrict_as_the_facts(self, up):
         universe = frozenset(alt_names(3))
