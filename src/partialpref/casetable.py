@@ -31,7 +31,7 @@ from .errors import (
     InconsistentTuple,
     TableMismatch,
 )
-from .lottery import mixture_instances, mixture_table
+from .lottery import mixture_splits, mixture_table
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
 from .relation import _KIND, KIND_INDEX, KIND_ORDER, RelKind, _close, render_symbols
 
@@ -246,19 +246,23 @@ def check_axioms(model: FiniteModel, rel=None) -> list[AxiomViolation]:
         raise ForeignLottery(next(h for pair in model.weak for h in pair if h not in index))
     strict = {(x, y) for x, y in weak if (y, x) not in weak}
     table = mixture_table(fam)
-    mixes = list(mixture_instances(table, len(fam)))
+    splits = mixture_splits(table, len(fam))
 
     found = [
         (axiom, witnesses)
-        for axiom, pair, witnesses in consequences(table, mixes, len(fam), weak, strict)
+        for axiom, pair, witnesses in consequences(table, splits, len(fam), weak, strict)
         if pair not in (strict if axiom in ("A3", "A5") else weak)
     ]
-    # persistence: a strict mixture pair asks for a strict draw
+    # persistence: a strict mixture pair asks for a strict draw (two trivial
+    # splits draw the pair itself); the sort below fixes the order
     found += [
         ("A6", (f1, f2, g1, g2, a, hf, hg))
-        for hf, hg, a, (f1, f2), (g1, g2) in mixes
-        if (hf, hg) in strict
-        and not any((fj, gk) in strict for fj in (f1, f2) for gk in (g1, g2))
+        for a, options in splits.items()
+        for hf, hg in strict
+        if len(options[hf]) > 1 or len(options[hg]) > 1
+        for f1, f2 in options[hf]
+        for g1, g2 in options[hg]
+        if not any((fj, gk) in strict for fj in (f1, f2) for gk in (g1, g2))
     ]
     # "A1'" < "A2" < ... < "A6" as strings; alphas are not positions
     found.sort(key=lambda v: (v[0], [w for w in v[1] if type(w) is int]))

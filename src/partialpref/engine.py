@@ -23,7 +23,7 @@ from math import lcm
 from operator import le
 
 from .errors import DuplicateOfferName
-from .lottery import Lottery, mixture_instances, mixture_table, scale
+from .lottery import Lottery, mixture_splits, mixture_table, scale
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
 from .relation import _KIND, BaseRelation, RelKind, _LastFieldAside
 
@@ -315,7 +315,7 @@ def _verdict(kinds: int, fg, gf) -> AdmissibleSet:
     return verdict
 
 
-def consequences(table, mixes, size, weak, strict):
+def consequences(table, splits, size, weak, strict):
     """Every A1'-A5 instance over indices whose premises hold and whose
     conclusion is not yet strict.
 
@@ -323,10 +323,13 @@ def consequences(table, mixes, size, weak, strict):
     h1 <= h2, A3 and A5 conclude h1 < h2.  ``witnesses`` is the tuple
     ``check`` prints: ``(h,)`` for A1', ``(x, y, z)`` for A2 (x <= y <= z),
     ``(f, g, alpha, beta, h1, h2)`` for A3 (f < g mixed at beta > alpha),
-    ``(f1, g1, f2, g2, alpha, h1, h2)`` for A4 and A5 (h1 mixes f1 with f2,
-    h2 mixes g1 with g2, as in ``mixes``).  A2 and A3 walk copies of
-    ``weak`` and ``strict`` taken when they start, so a caller may add
-    conclusions while iterating.
+    ``(f1, g1, f2, g2, alpha, h1, h2)`` for A4 and A5, which walk the
+    :func:`mixture_splits` ``splits`` by alpha, h1, h2 not yet strict when
+    reached, h1's split and h2's (h1 mixes f1 with f2, h2 mixes g1 with g2);
+    two trivial splits conclude their own premise, adding no fact and never
+    a violation, so an h1 and h2 both lacking a proper split are not walked.
+    A2 and A3 walk copies of ``weak`` and ``strict`` taken when they start,
+    so a caller may add conclusions while iterating.
     """
     for h in range(size):
         if (h, h) not in strict:
@@ -346,12 +349,18 @@ def consequences(table, mixes, size, weak, strict):
                 if b > a and (h1, h2) not in strict:
                     yield "A3", (h1, h2), (f, g, alpha, beta, h1, h2)
     # mixing two weak facts / a strict with a weak fact at a shared alpha
-    for h1, h2, alpha, (f1, f2), (g1, g2) in mixes:
-        if (f1, g1) in weak and (f2, g2) in weak and (h1, h2) not in strict:
-            witnesses = (f1, g1, f2, g2, alpha, h1, h2)
-            yield "A4", (h1, h2), witnesses
-            if (f1, g1) in strict:
-                yield "A5", (h1, h2), witnesses
+    for alpha, options in splits.items():
+        proper = [h for h, hs in enumerate(options) if len(hs) > 1]
+        for h1, fs in enumerate(options):
+            for h2 in range(size) if len(fs) > 1 else proper:
+                if (h1, h2) not in strict:
+                    for f1, f2 in fs:
+                        for g1, g2 in options[h2]:
+                            if (f1, g1) in weak and (f2, g2) in weak:
+                                witnesses = (f1, g1, f2, g2, alpha, h1, h2)
+                                yield "A4", (h1, h2), witnesses
+                                if (f1, g1) in strict:
+                                    yield "A5", (h1, h2), witnesses
 
 
 def lift(members, witnesses) -> tuple:
@@ -426,11 +435,11 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
                 add((x, y), "seed-shift", (x, y, plan), True)
 
     table = mixture_table(pool)
-    mixes = list(mixture_instances(table, len(pool)))
+    splits = mixture_splits(table, len(pool))
     changed = True
     while changed:
         changed = False
-        for axiom, (x, z), witnesses in consequences(table, mixes, len(pool), weak, strict):
+        for axiom, (x, z), witnesses in consequences(table, splits, len(pool), weak, strict):
             # transitivity: a strict premise makes the conclusion strict
             is_strict = axiom in ("A3", "A5") or axiom == "A2" and x != z and (
                 (x, witnesses[1]) in strict or (witnesses[1], z) in strict)

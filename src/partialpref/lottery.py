@@ -29,7 +29,7 @@ __all__ = [
     "convex_combine",
     "decompose",
     "mixture_table",
-    "mixture_instances",
+    "mixture_splits",
     "scale",
 ]
 
@@ -224,15 +224,12 @@ def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction, 
     return table
 
 
-def mixture_instances(table, size: int):
-    """Every way two index pairs mix into two members at one proper alpha.
-
-    Yields ``(hf, hg, alpha, (f1, f2), (g1, g2))`` with 0 < alpha < 1,
-    ``hf = alpha*f1 + (1-alpha)*f2`` and ``hg = alpha*g1 + (1-alpha)*g2``
-    over a :func:`mixture_table` of ``size`` lotteries.  Either side may be
-    the trivial split (h, h), which mixes to h at every alpha, but not
-    both.  An alpha of 0 or 1 only mixes a pair back into one of its two
-    members, so it is left out.
+def mixture_splits(table, size: int) -> dict[Fraction, list[list[tuple[int, int]]]]:
+    """Each member's splits at each proper alpha of a :func:`mixture_table`
+    of ``size`` lotteries: ``splits[alpha][h]`` is the trivial split (h, h),
+    then each (x, y) with ``h = alpha*x + (1-alpha)*y``, h neither x nor y,
+    in table order.  An alpha of 0 or 1 only mixes a pair back into one of
+    its members, so every key is in (0, 1) and splits some member properly.
     """
     splits: dict[Fraction, list[list[tuple[int, int]]]] = {}
     for (x, y), row in table.items():
@@ -241,14 +238,4 @@ def mixture_instances(table, size: int):
                 if alpha not in splits:
                     splits[alpha] = [[(m, m)] for m in range(size)]
                 splits[alpha][h].append((x, y))
-    for alpha, options in splits.items():
-        proper = [h for h in range(size) if len(options[h]) > 1]
-        for hf, (trivial, *fs) in enumerate(options):
-            # beside a trivial hf side only an hg with a proper split yields
-            for hg in range(size) if fs else proper:
-                gs = options[hg]
-                for g in gs[1:]:
-                    yield hf, hg, alpha, trivial, g
-                for f in fs:
-                    for g in gs:
-                        yield hf, hg, alpha, f, g
+    return splits

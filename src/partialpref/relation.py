@@ -199,13 +199,13 @@ class BaseRelation:
         return sum(mask.bit_count() for mask in self._masks.values())
 
     def restrict(self, alternatives) -> "BaseRelation":
-        """The preorder induced on those of ``alternatives`` that are in the
-        universe: each one's mask cut down to their bits.
+        """The preorder induced on those of ``alternatives`` that have a mask
+        (built from facts, those in the universe): each one's mask cut down.
 
         Every pair of those alternatives classifies as in ``self``, and
         every other alternative is unknown to the result.
         """
-        keep = [a for a in dict.fromkeys(alternatives) if a in self.universe]
+        keep = [a for a in dict.fromkeys(alternatives) if a in self._masks]
         chosen = 0
         for a in keep:
             chosen |= 1 << self._index[a]
@@ -213,9 +213,9 @@ class BaseRelation:
         return BaseRelation._from_masks(self._index, masks)
 
     def _require(self, *alternatives: str) -> None:
-        """Raise for the first of ``alternatives`` outside the universe."""
+        """Raise for the first of ``alternatives`` with no mask, so no up-set."""
         for a in alternatives:
-            if a not in self.universe:
+            if a not in self._masks:
                 raise UnknownAlternative(a)
 
     def holds(self, a: str, b: str) -> bool:

@@ -272,10 +272,12 @@ class TestInputErrorsPlaced:
             ("filter", "a : a@1/2, b@a\n",
              "line 1, column 14: expected exact rational p/q or integer (floats are rejected)"),
             ("validate", "a<< << b\n", "line 1, column 6: expected operator <, <= or ~"),
+            ("filter", "f : a@1/0\n", "line 1, column 7: expected nonzero denominator"),
+            ("check", "f : a@1\ng : b@1\nf <= g!\n", "line 3, column 6: malformed identifier: 'g!'"),
         ],
         ids=["malformed-id", "malformed-alternative", "not-normalized", "negative-weight",
              "zero-weight", "unknown-model-name", "duplicate-name", "weight-text-earlier",
-             "stray-angle-text-earlier"],
+             "stray-angle-text-earlier", "zero-denominator", "malformed-model-name"],
     )
     def test_error_names_line_and_column(self, chain, tmp_path, command, text, message):
         path = tmp_path / "input.txt"

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -24,7 +25,7 @@ from partialpref.lottery import (
     Lottery,
     convex_combine,
     make_lottery,
-    mixture_instances,
+    mixture_splits,
     mixture_table,
 )
 from partialpref.relation import FactKind, PrefFact, RelKind, build_base_relation
@@ -32,6 +33,7 @@ from partialpref.relation import FactKind, PrefFact, RelKind, build_base_relatio
 from conftest import (
     all_relations,
     alt_names,
+    grid_lotteries,
     judgments_left,
     random_grid_lottery,
     random_relation,
@@ -558,6 +560,23 @@ class TestSaturate:
                 assert AxiomViolation(d.rule, d.premises) in check_axioms(model)
         assert min(rules[r] for r in ("A1'", "A2", "A3", "A4", "A5")) >= 20, rules
 
+    def test_grid_family_saturates_and_checks_in_small_memory(self):
+        # the mixing splits are walked in place; a list of every
+        # (hf, hg, alpha, split, split) instance, which grows like n^4, took
+        # 6.7 and 7.7 MiB here
+        rel = build_base_relation([strict("a", "b")], extra_universe={"c"})
+        family = grid_lotteries(["a", "b", "c"], 6)
+        tracemalloc.start()
+        try:
+            facts = saturate(rel, family)
+            saturate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            check_axioms(FiniteModel(family=tuple(family), weak=facts.weak))
+            check_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert saturate_peak < 3 * 2**20 and check_peak < 3 * 2**20, (saturate_peak, check_peak)
+
     def test_facts_and_check_match_recorded_digest(self):
         # sha256 of saturate's facts, its provenance and check's output on
         # 300 seeded families, recorded before A1' and A2 moved into
@@ -644,11 +663,11 @@ def reference_saturate(rel, family):
         if plan is not None:
             add((x, y), "seed-shift", (x, y, plan), True)
     table = mixture_table(pool)
-    mixes = list(mixture_instances(table, len(pool)))
+    splits = mixture_splits(table, len(pool))
     changed = True
     while changed:
         changed = False
-        for axiom, (x, z), w in engine.consequences(table, mixes, len(pool), weak, strict):
+        for axiom, (x, z), w in engine.consequences(table, splits, len(pool), weak, strict):
             is_strict = axiom in ("A3", "A5") or axiom == "A2" and x != z and (
                 (x, w[1]) in strict or (w[1], z) in strict)
             changed |= add((x, z), axiom, w, is_strict)

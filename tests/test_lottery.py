@@ -20,7 +20,7 @@ from partialpref.lottery import (
     convex_combine,
     decompose,
     make_lottery,
-    mixture_instances,
+    mixture_splits,
     mixture_table,
 )
 from partialpref.relation import check_id
@@ -367,8 +367,9 @@ class TestMixtureTable:
 
 
 def all_pairs_mixture_instances(table, size):
-    """``mixture_instances`` as it was written, stepping through every
-    (hf, hg) pair and rejecting the trivial x trivial splits."""
+    """Every (hf, hg, alpha, split, split) instance of ``table``, stepping
+    through every (hf, hg) pair and rejecting the trivial x trivial splits:
+    the order in which ``consequences`` meets the A4 and A5 instances."""
     splits = {}
     for (x, y), row in table.items():
         for h, alpha, _ in row:
@@ -383,6 +384,20 @@ def all_pairs_mixture_instances(table, size):
                     for g in options[hg]:
                         if f != (hf, hf) or g != (hg, hg):
                             yield hf, hg, alpha, f, g
+
+
+def flattened_splits(table, size):
+    """``mixture_splits`` read in the order ``consequences`` walks it:
+    alpha, hf, then hg (every hg beside a properly split hf, only properly
+    split ones beside a trivial hf), then hf's splits by hg's, leaving out
+    the trivial x trivial pair."""
+    for alpha, options in mixture_splits(table, size).items():
+        proper = [h for h, hs in enumerate(options) if len(hs) > 1]
+        for hf, fs in enumerate(options):
+            for hg in range(size) if len(fs) > 1 else proper:
+                for f, g in itertools.product(fs, options[hg]):
+                    if (f, g) != ((hf, hf), (hg, hg)):
+                        yield hf, hg, alpha, f, g
 
 
 class TestMixtureInstances:
@@ -400,6 +415,6 @@ class TestMixtureInstances:
             lots = list(dict.fromkeys(lots))
             table = mixture_table(lots)
             expected = list(all_pairs_mixture_instances(table, len(lots)))
-            assert list(mixture_instances(table, len(lots))) == expected
+            assert list(flattened_splits(table, len(lots))) == expected
             yielded += len(expected)
         assert yielded >= 1000, yielded

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partialpref.engine import compare
 from partialpref.errors import MalformedId, StrictViolation, UnknownAlternative
 from partialpref.lottery import Lottery
 from partialpref.relation import (
@@ -261,6 +262,19 @@ class TestMaskedClosure:
         # universe are kept as given
         rel = BaseRelation(frozenset("a"), up)
         assert rel.up == up and rel.count_pairs() == sum(map(len, up.values()))
+
+    def test_an_alternative_without_an_up_set_is_unknown(self):
+        # "b" is in the universe, but no up-set was given for it
+        rel = BaseRelation(frozenset("ab"), {"a": frozenset("a")})
+        for call in (
+            lambda: rel.classify("b", "b"),
+            lambda: rel.holds("a", "b"),
+            lambda: compare(rel, Lottery.degenerate("a"), Lottery.degenerate("b")),
+        ):
+            with pytest.raises(UnknownAlternative) as info:
+                call()
+            assert info.value.ident == "b"
+        assert rel.restrict(["b", "a"]) == BaseRelation(frozenset("a"), {"a": frozenset("a")})
 
 
 class TestRestrict:
