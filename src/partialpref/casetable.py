@@ -31,7 +31,7 @@ from .errors import (
     InconsistentTuple,
     TableMismatch,
 )
-from .lottery import mixture_splits, mixture_table
+from .lottery import mixture_table
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
 from .relation import _KIND, KIND_INDEX, KIND_ORDER, RelKind, _close, render_symbols
 
@@ -245,8 +245,7 @@ def check_axioms(model: FiniteModel, rel=None) -> list[AxiomViolation]:
     if any(None in pair for pair in weak):
         raise ForeignLottery(next(h for pair in model.weak for h in pair if h not in index))
     strict = {(x, y) for x, y in weak if (y, x) not in weak}
-    table = mixture_table(fam)
-    splits = mixture_splits(table, len(fam))
+    table, splits = mixture_table(fam)
 
     found = [
         (axiom, witnesses)

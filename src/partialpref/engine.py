@@ -23,7 +23,7 @@ from math import lcm
 from operator import le
 
 from .errors import DuplicateOfferName
-from .lottery import Lottery, mixture_splits, mixture_table, scale
+from .lottery import Lottery, mixture_table, scale
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
 from .relation import _KIND, BaseRelation, RelKind, _LastFieldAside
 
@@ -324,7 +324,7 @@ def consequences(table, splits, size, weak, strict):
     ``check`` prints: ``(h,)`` for A1', ``(x, y, z)`` for A2 (x <= y <= z),
     ``(f, g, alpha, beta, h1, h2)`` for A3 (f < g mixed at beta > alpha),
     ``(f1, g1, f2, g2, alpha, h1, h2)`` for A4 and A5, which walk the
-    :func:`mixture_splits` ``splits`` by alpha, h1, h2 not yet strict when
+    :func:`mixture_table` ``splits`` by alpha, h1, h2 not yet strict when
     reached, h1's split and h2's (h1 mixes f1 with f2, h2 mixes g1 with g2);
     two trivial splits conclude their own premise, adding no fact and never
     a violation, so an h1 and h2 both lacking a proper split are not walked.
@@ -434,8 +434,7 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
             if plan is not None:
                 add((x, y), "seed-shift", (x, y, plan), True)
 
-    table = mixture_table(pool)
-    splits = mixture_splits(table, len(pool))
+    table, splits = mixture_table(pool)
     changed = True
     while changed:
         changed = False

@@ -29,7 +29,6 @@ __all__ = [
     "convex_combine",
     "decompose",
     "mixture_table",
-    "mixture_splits",
     "scale",
 ]
 
@@ -180,13 +179,14 @@ def decompose(h: Lottery, f: Lottery, g: Lottery):
         raise DegeneratePair()
     if h == f or h == g:
         return None
-    return next((alpha for k, alpha, _ in mixture_table([f, g, h])[0, 1] if k == 2), None)
+    return next((alpha for k, alpha, _ in mixture_table([f, g, h])[0][0, 1] if k == 2), None)
 
 
-def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction, int]]]:
-    """Every mixture relation among a list of distinct lotteries, by index.
+def mixture_table(lotteries) -> tuple[dict, dict[Fraction, list[list[tuple[int, int]]]]]:
+    """Every mixture relation among a list of distinct lotteries, by index,
+    as rows and as splits by coefficient.
 
-    Maps each ordered index pair (i, j), i != j, to the list of
+    ``table`` maps each ordered index pair (i, j), i != j, to the list of
     (k, alpha, n), k ascending, with ``lotteries[k] = alpha*lotteries[i] +
     (1-alpha)*lotteries[j]``; the boundaries (i, 1, _) and (j, 0, 0) are
     included.  Raises :class:`DegeneratePair` when two members are equal.
@@ -198,10 +198,16 @@ def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction, 
     j's ray from i in at most as many steps as j, and alpha is n of j's
     steps.  Keys are inserted in ``combinations`` order, (i, j) before
     (j, i).
+
+    ``splits[alpha][h]`` is the trivial split (h, h), then each (x, y)
+    with ``h = alpha*x + (1-alpha)*y``, h neither x nor y, in table order.
+    An alpha of 0 or 1 only mixes a pair back into one of its members, so
+    every key is in (0, 1) and splits some member properly.
     """
     vectors = scale(lotteries)
     fraction = cache(Fraction)  # one Fraction per coefficient
     table = {}
+    splits: dict[Fraction, list[list[tuple[int, int]]]] = {}
     for i, origin in enumerate(vectors[:-1]):
         rays = {}
         on_ray: dict[tuple[int, ...], list[tuple[int, int]]] = {}
@@ -221,21 +227,11 @@ def mixture_table(lotteries) -> dict[tuple[int, int], list[tuple[int, Fraction, 
             row.sort()
             table[i, j] = [(k, fraction(steps - s, steps), steps - s) for k, s in row]
             table[j, i] = [(k, fraction(s, steps), s) for k, s in row]
-    return table
-
-
-def mixture_splits(table, size: int) -> dict[Fraction, list[list[tuple[int, int]]]]:
-    """Each member's splits at each proper alpha of a :func:`mixture_table`
-    of ``size`` lotteries: ``splits[alpha][h]`` is the trivial split (h, h),
-    then each (x, y) with ``h = alpha*x + (1-alpha)*y``, h neither x nor y,
-    in table order.  An alpha of 0 or 1 only mixes a pair back into one of
-    its members, so every key is in (0, 1) and splits some member properly.
-    """
-    splits: dict[Fraction, list[list[tuple[int, int]]]] = {}
-    for (x, y), row in table.items():
-        for h, alpha, _ in row:
-            if h != x and h != y:
-                if alpha not in splits:
-                    splits[alpha] = [[(m, m)] for m in range(size)]
-                splits[alpha][h].append((x, y))
-    return splits
+            if len(row) > 2:  # not only the two boundaries
+                for pair in (i, j), (j, i):
+                    for h, alpha, n in table[pair]:
+                        if 0 < n < steps:
+                            if alpha not in splits:
+                                splits[alpha] = [[(m, m)] for m in range(len(vectors))]
+                            splits[alpha][h].append(pair)
+    return table, splits

@@ -116,9 +116,8 @@ class _LastFieldAside:
     __slots__ = ()
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:-1] == other[:-1]
+        # never equal to a plain tuple of the fields, which hashes differently
+        return other.__class__ is self.__class__ and self[:-1] == other[:-1]
 
     __ne__ = object.__ne__  # the negation of __eq__, not tuple's comparison
 
@@ -152,7 +151,11 @@ class BaseRelation:
     """
 
     def __init__(self, universe: frozenset[str], up: dict[str, frozenset[str]]):
-        """The relation whose up-sets are ``up``, which need not be closed."""
+        """The relation whose up-sets are ``up``, which need not be closed;
+        each key of ``up`` must be in ``universe``."""
+        for a in up:
+            if a not in universe:
+                raise UnknownAlternative(a)
         index = {a: i for i, a in enumerate(dict.fromkeys(chain(universe, up, *up.values())))}
         masks = {a: sum(1 << index[b] for b in above) for a, above in up.items()}
         self.__dict__.update(universe=universe, _index=index, _masks=masks)

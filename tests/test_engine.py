@@ -25,7 +25,6 @@ from partialpref.lottery import (
     Lottery,
     convex_combine,
     make_lottery,
-    mixture_splits,
     mixture_table,
 )
 from partialpref.relation import FactKind, PrefFact, RelKind, build_base_relation
@@ -662,8 +661,7 @@ def reference_saturate(rel, family):
         plan = shift_reachable(rel, pool[x], pool[y])
         if plan is not None:
             add((x, y), "seed-shift", (x, y, plan), True)
-    table = mixture_table(pool)
-    splits = mixture_splits(table, len(pool))
+    table, splits = mixture_table(pool)
     changed = True
     while changed:
         changed = False

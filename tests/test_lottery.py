@@ -20,7 +20,6 @@ from partialpref.lottery import (
     convex_combine,
     decompose,
     make_lottery,
-    mixture_splits,
     mixture_table,
 )
 from partialpref.relation import check_id
@@ -297,7 +296,7 @@ class TestMixtureTable:
         lots = grid_lotteries(alt_names(3), 4)
         position = {lot: k for k, lot in enumerate(lots)}
         candidates = sorted({F(p, q) for q in range(1, 5) for p in range(q + 1)})
-        table = mixture_table(lots)
+        table, _ = mixture_table(lots)
         assert set(table) == set(itertools.permutations(range(len(lots)), 2))
         for (i, j), row in table.items():
             expected = []
@@ -350,11 +349,13 @@ class TestMixtureTable:
                 lots.append(convex_combine(F(1, 2), f, lots[-1]))
             lots = list(dict.fromkeys(lots))
             rng.shuffle(lots)
-            table = mixture_table(lots)
+            table, splits = mixture_table(lots)
             assert list(table) == [
                 key for i, j in itertools.combinations(range(len(lots)), 2)
                 for key in ((i, j), (j, i))
             ]
+            # the list comparison also checks the order of the alpha keys
+            assert list(splits.items()) == list(two_pass_splits(table, len(lots)).items())
             rows = {key: self.alphas(row) for key, row in table.items()}
             assert rows == self.brute_force_table(lots)
             proper += sum(len(row) - 2 for row in rows.values())
@@ -366,10 +367,10 @@ class TestMixtureTable:
         assert proper >= 2000, proper
 
 
-def all_pairs_mixture_instances(table, size):
-    """Every (hf, hg, alpha, split, split) instance of ``table``, stepping
-    through every (hf, hg) pair and rejecting the trivial x trivial splits:
-    the order in which ``consequences`` meets the A4 and A5 instances."""
+def two_pass_splits(table, size):
+    """The split index of a finished ``table`` of ``size`` lotteries, built
+    by a second walk over its rows: ``splits[alpha][h]`` is (h, h), then
+    the key (x, y) of each row that holds h at alpha, h neither x nor y."""
     splits = {}
     for (x, y), row in table.items():
         for h, alpha, _ in row:
@@ -377,7 +378,14 @@ def all_pairs_mixture_instances(table, size):
                 if alpha not in splits:
                     splits[alpha] = [[(m, m)] for m in range(size)]
                 splits[alpha][h].append((x, y))
-    for alpha, options in splits.items():
+    return splits
+
+
+def all_pairs_mixture_instances(table, size):
+    """Every (hf, hg, alpha, split, split) instance of ``table``, stepping
+    through every (hf, hg) pair and rejecting the trivial x trivial splits:
+    the order in which ``consequences`` meets the A4 and A5 instances."""
+    for alpha, options in two_pass_splits(table, size).items():
         for hf in range(size):
             for hg in range(size):
                 for f in options[hf]:
@@ -386,12 +394,12 @@ def all_pairs_mixture_instances(table, size):
                             yield hf, hg, alpha, f, g
 
 
-def flattened_splits(table, size):
-    """``mixture_splits`` read in the order ``consequences`` walks it:
-    alpha, hf, then hg (every hg beside a properly split hf, only properly
-    split ones beside a trivial hf), then hf's splits by hg's, leaving out
-    the trivial x trivial pair."""
-    for alpha, options in mixture_splits(table, size).items():
+def flattened_splits(splits, size):
+    """The ``splits`` of ``mixture_table`` read in the order ``consequences``
+    walks them: alpha, hf, then hg (every hg beside a properly split hf,
+    only properly split ones beside a trivial hf), then hf's splits by
+    hg's, leaving out the trivial x trivial pair."""
+    for alpha, options in splits.items():
         proper = [h for h, hs in enumerate(options) if len(hs) > 1]
         for hf, fs in enumerate(options):
             for hg in range(size) if len(fs) > 1 else proper:
@@ -413,8 +421,8 @@ class TestMixtureInstances:
                 f, g = rng.sample(lots, 2)
                 lots.append(convex_combine(F(rng.randint(1, 5), 6), f, g))
             lots = list(dict.fromkeys(lots))
-            table = mixture_table(lots)
+            table, splits = mixture_table(lots)
             expected = list(all_pairs_mixture_instances(table, len(lots)))
-            assert list(flattened_splits(table, len(lots))) == expected
+            assert list(flattened_splits(splits, len(lots))) == expected
             yielded += len(expected)
         assert yielded >= 1000, yielded

@@ -276,6 +276,11 @@ class TestMaskedClosure:
             assert info.value.ident == "b"
         assert rel.restrict(["b", "a"]) == BaseRelation(frozenset("a"), {"a": frozenset("a")})
 
+    def test_an_up_set_key_outside_the_universe_is_unknown(self):
+        with pytest.raises(UnknownAlternative) as info:
+            BaseRelation(frozenset("a"), {"b": frozenset("b")})
+        assert info.value.ident == "b"
+
 
 class TestRestrict:
     def test_induced_preorder_on_the_known_alternatives(self):

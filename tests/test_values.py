@@ -113,6 +113,9 @@ class TestValueClass:
         assert hash(value) == hash(equal)
         assert len({value, equal}) == 1
         assert value != unequal and not value == unequal
+        # equal objects hash equally, a tuple of the fields included
+        if isinstance(value, tuple):
+            assert value != tuple(value) or hash(value) == hash(tuple(value))
         # the fields left out of equality leave the hash alone too
         if name == "BaseRelation":
             assert hash(value) == hash(unequal)
