@@ -126,22 +126,13 @@ def cross_profile(rel: BaseRelation, f: Lottery, g: Lottery):
 
 
 def _support_kinds(rel: BaseRelation, f: Lottery, g: Lottery) -> int:
-    """The kinds of the pairs in supp(f) x supp(g), as a mask of ``_BIT``.
-
-    An unknown alternative is named as ``cross_profile`` would meet it:
-    f's first alternative, then g's in order, then the rest of f's.
-    """
+    """The kinds of the pairs in supp(f) x supp(g), as a mask of ``_BIT``."""
     up = rel.up
-    try:
-        ups_f = [(a, up[a]) for a, _ in f.entries]
-        ups_g = [(b, up[b]) for b, _ in g.entries]
-    except KeyError:
-        rel._require(f.entries[0][0], *(b for b, _ in g.entries), *(a for a, _ in f.entries))
-        raise
     kinds = 0
-    for a, up_a in ups_f:
-        for b, up_b in ups_g:
-            kinds |= _BIT[b in up_a][a in up_b]
+    for a, _ in f.entries:
+        up_a = up[a]
+        for b, _ in g.entries:
+            kinds |= _BIT[b in up_a][a in up[b]]
     return kinds
 
 
@@ -231,11 +222,10 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
     mf, mg = denom // df, denom // dg
     sources, excess, sinks, deficit = [], [], [], []
     for a in sorted(nf.keys() | ng.keys()):
-        if a not in up:
-            rel._require(a)
+        up_a = up[a]
         d = nf.get(a, 0) * mf - ng.get(a, 0) * mg
         if d > 0:
-            sources.append(a)
+            sources.append((a, up_a))
             excess.append(d)
         elif d:
             sinks.append(a)
@@ -245,8 +235,7 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
     # the excess equals the deficit, so all of it must move: a source with
     # no strict edge out, or a sink with none in, leaves f < g unwitnessed
     edges = []
-    for i, a in enumerate(sources):
-        up_a = up[a]
+    for i, (a, up_a) in enumerate(sources):
         out = [(i, j) for j, b in enumerate(sinks) if b in up_a and a not in up[b]]
         if not out:
             return None
@@ -258,7 +247,7 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
         return None
     moves = {(a, a): Fraction(min(x * mf, ng[a] * mg), denom) for a, x in nf.items() if a in ng}
     for (i, j), mass in flow.items():
-        moves[(sources[i], sinks[j])] = Fraction(mass, denom)
+        moves[(sources[i][0], sinks[j])] = Fraction(mass, denom)
     return TransportPlan(moves=tuple(sorted(moves.items())))
 
 
@@ -274,7 +263,6 @@ def up_masses(rel: BaseRelation, lotteries) -> list[tuple[int, ...]]:
     """
     vectors = scale(lotteries)
     alts = sorted({a for lot in lotteries for a, _ in lot.entries})
-    rel._require(*alts)
     columns = dict.fromkeys(tuple(c for c, b in enumerate(alts) if b in rel.up[a]) for a in alts)
     return [tuple(sum(vec[c] for c in col) for col in columns) for vec in vectors]
 
@@ -326,8 +314,9 @@ def consequences(table, splits, size, weak, strict):
     ``(f1, g1, f2, g2, alpha, h1, h2)`` for A4 and A5, which walk the
     :func:`mixture_table` ``splits`` by alpha, h1, h2 not yet strict when
     reached, h1's split and h2's (h1 mixes f1 with f2, h2 mixes g1 with g2);
-    two trivial splits conclude their own premise, adding no fact and never
-    a violation, so an h1 and h2 both lacking a proper split are not walked.
+    a pair of trivial splits concludes its own premise, adding no fact and
+    never a violation, so it is not yielded, and an h1 and h2 both lacking
+    a proper split are not walked.
     A2 and A3 walk copies of ``weak`` and ``strict`` taken when they start,
     so a caller may add conclusions while iterating.
     """
@@ -356,7 +345,7 @@ def consequences(table, splits, size, weak, strict):
                 if (h1, h2) not in strict:
                     for f1, f2 in fs:
                         for g1, g2 in options[h2]:
-                            if (f1, g1) in weak and (f2, g2) in weak:
+                            if (f1, g1) in weak and (f2, g2) in weak and (f1 != f2 or g1 != g2):
                                 witnesses = (f1, g1, f2, g2, alpha, h1, h2)
                                 yield "A4", (h1, h2), witnesses
                                 if (f1, g1) in strict:
@@ -405,8 +394,6 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
     family = list(dict.fromkeys(family))
     degenerates = [Lottery.degenerate(a) for lot in family for a, _ in lot.entries]
     pool = list(dict.fromkeys([*family, *degenerates]))
-    for lot in pool:
-        rel._require(*(a for a, _ in lot.entries))
 
     # the fixpoint runs on pool indices
     weak: set[tuple[int, int]] = set()
@@ -424,7 +411,7 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
 
     # x dominates y iff supp(y) lies in the up-set of every alternative of x
     supports = [frozenset(a for a, _ in lot.entries) for lot in pool]
-    above_all = [frozenset.intersection(*(rel.up[a] for a in s)) for s in supports]
+    above_all = [frozenset.intersection(*(rel.up[a] for a, _ in lot.entries)) for lot in pool]
     mass = up_masses(rel, pool)
     for x, y in permutations(range(len(pool)), 2):
         if supports[y] <= above_all[x]:

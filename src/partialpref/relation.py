@@ -139,6 +139,16 @@ class PrefFact(namedtuple("PrefFact", "kind left right")):
         return super().__new__(cls, kind, check_id(left), check_id(right))
 
 
+class _UpSets(dict):
+    """``BaseRelation.up``: reading an alternative with no up-set raises
+    :class:`UnknownAlternative` naming it."""
+
+    __slots__ = ()
+
+    def __missing__(self, a):
+        raise UnknownAlternative(a)
+
+
 class BaseRelation:
     """Reflexive-transitive closure of declared facts over a universe.
 
@@ -146,8 +156,9 @@ class BaseRelation:
     bit ``_index[a]``, and ``_masks[a]`` has the bits of every b with
     a <= b.  ``up[a]``, the set of those b, is built from the masks on
     first access; the members of one equivalence class share one
-    frozenset.  Equality compares the universe and ``up``; the hash reads
-    the universe alone, as ``up`` is a dict.
+    frozenset, and an unknown a raises :class:`UnknownAlternative`.
+    Equality compares the universe and ``up``; the hash reads the
+    universe alone, as ``up`` is a dict.
     """
 
     def __init__(self, universe: frozenset[str], up: dict[str, frozenset[str]]):
@@ -185,7 +196,7 @@ class BaseRelation:
     def up(self) -> dict[str, frozenset[str]]:
         """Each alternative's up-set, built from the masks on first use."""
         shared: dict[int, frozenset[str]] = {}  # equal masks: one class
-        up = {}
+        up = _UpSets()
         for a, mask in self._masks.items():
             if mask not in shared:
                 shared[mask] = frozenset(_members(self._index, mask))
@@ -228,7 +239,6 @@ class BaseRelation:
 
     def classify(self, a: str, b: str) -> RelKind:
         """Four-way classification of the ordered pair (a, b)."""
-        self._require(a, b)
         return _KIND[b in self.up[a]][a in self.up[b]]
 
 

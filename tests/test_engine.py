@@ -232,6 +232,30 @@ class TestUnknownAlternatives:
         assert maximal_filter(self.REL, [("o", f)]) == [("o", f)]
         assert self.named(lambda: shift_reachable(self.REL, f, f)) == "b"
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_each_query_names_the_first_unknown_of_its_lookup_order(self, seed):
+        # the orders in which each query reads the up-sets, written out
+        rng = random.Random(seed)
+        rel = random_relation(rng, 4)
+        names = alt_names(4) + ["yy", "zz"]
+
+        def first_unknown(*alternatives):
+            return next(a for a in alternatives if a not in rel.universe)
+
+        for _ in range(300):
+            f = g = None
+            while f == g or {a for lot in (f, g) for a in lot.support()} <= rel.universe:
+                f, g = (random_grid_lottery(rng, rng.sample(names, rng.randint(1, 3)), 4)
+                        for _ in range(2))
+            alts_f, alts_g = [a for a, _ in f.entries], [a for a, _ in g.entries]
+            pairwise = first_unknown(alts_f[0], *alts_g, *alts_f)
+            for query in (compare, dominates, cross_profile):
+                assert self.named(lambda: query(rel, f, g)) == pairwise
+            union = first_unknown(*sorted({*alts_f, *alts_g}))
+            assert self.named(lambda: shift_reachable(rel, f, g)) == union
+            assert self.named(lambda: engine.up_masses(rel, [f, g])) == union
+            assert self.named(lambda: saturate(rel, [f, g])) == first_unknown(*alts_f, *alts_g)
+
 
 class TestDominates:
     def test_strict_pair_dominates(self, chain_ab):
@@ -451,6 +475,23 @@ class TestSaturate:
         facts = saturate(empty_ab, {fa, fb, m})
         assert facts.strict == frozenset()
         assert facts.weak == frozenset({(fa, fa), (fb, fb), (m, m)})
+
+    def test_a_pair_of_trivial_splits_is_not_yielded(self, monkeypatch):
+        # such an instance concludes its own premise (h1, h2)
+        yielded = []
+
+        def recorded(*args):
+            for instance in consequences(*args):
+                if instance[0] == "A4":
+                    yielded.append(instance[2])
+                yield instance
+
+        consequences = engine.consequences
+        monkeypatch.setattr(engine, "consequences", recorded)
+        rel = build_base_relation([strict("a", "b")], extra_universe={"c"})
+        saturate(rel, grid_lotteries(["a", "b", "c"], 6))
+        assert yielded
+        assert not [w for w in yielded if w[0] == w[2] and w[1] == w[3]]
 
     def test_componentwise_strict_mixture(self):
         rel = build_base_relation([strict("a", "b"), strict("c", "d")])

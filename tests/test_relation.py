@@ -90,6 +90,12 @@ class TestClassify:
         with pytest.raises(UnknownAlternative):
             rel.classify("a", "z")
 
+    def test_up_names_an_unknown_alternative(self):
+        rel = build_base_relation([weak("a", "b")])
+        with pytest.raises(UnknownAlternative) as info:
+            rel.up["zz"]
+        assert info.value.ident == "zz"
+
 
 class TestProperties:
     @pytest.mark.parametrize("seed", range(20))
