@@ -126,13 +126,31 @@ def cross_profile(rel: BaseRelation, f: Lottery, g: Lottery):
 
 
 def _support_kinds(rel: BaseRelation, f: Lottery, g: Lottery) -> int:
-    """The kinds of the pairs in supp(f) x supp(g), as a mask of ``_BIT``."""
-    up = rel.up
-    kinds = 0
-    for a, _ in f.entries:
-        up_a = up[a]
-        for b, _ in g.entries:
-            kinds |= _BIT[b in up_a][a in up[b]]
+    """The kinds of the pairs in supp(f) x supp(g), as a mask of ``_BIT``,
+    read from the two lotteries' profiles in ``rel.profiles``."""
+    profiles = rel.profiles
+    pf, pg = profiles.get(f), profiles.get(g)
+    if pf is None or pg is None:
+        # the pairs' up-sets are read led by f's first alternative, then
+        # g's, then the rest of f's
+        rel.up[f.entries[0][0]]
+        pg = profiles[g]
+        pf = profiles[f]
+    support_f, above_f, equiv_f, alts_f = pf
+    support_g, above_g, _, alts_g = pg
+    # a pair (a, b) is comparable when b is in up[a], or a strictly above b
+    comparable = 0
+    for _, up_a, _ in alts_f:
+        comparable += (up_a & support_g).bit_count()
+    for _, _, above_b in alts_g:
+        comparable += (above_b & support_f).bit_count()
+    kinds = 1 if comparable < len(alts_f) * len(alts_g) else 0  # INCOMP
+    if above_g & support_f:
+        kinds |= 2  # GREATER
+    if above_f & support_g:
+        kinds |= 4  # LESS
+    if equiv_f & support_g:
+        kinds |= 8  # EQUIV
     return kinds
 
 
@@ -215,7 +233,25 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
     strict pairs onto g's excess; strict transitivity lets multi-step
     shift chains collapse to direct moves.  The pair is decided on integer
     weights over its common denominator.
+
+    When both lotteries have a profile in ``rel.profiles`` (``compare``
+    builds them before its shift tests), three necessary conditions are
+    bit tests: some alternative of f is strictly below one of g, every
+    alternative of f outside supp(g) has one of supp(g) strictly above
+    it, and every alternative of g outside supp(f) has one of supp(f)
+    strictly below it.  No profile is built here: ``saturate``'s pairs
+    have passed :func:`up_masses` and rarely fail these tests.
     """
+    profiles = rel.profiles
+    pf, pg = profiles.get(f), profiles.get(g)
+    if pf is not None and pg is not None:
+        support_f, above_f, _, alts_f = pf
+        support_g = pg[0]
+        if not above_f & support_g or support_g & ~(support_f | above_f):
+            return None
+        for bit, _, above_a in alts_f:
+            if not (bit | above_a) & support_g:
+                return None
     (df, nf), (dg, ng) = f.integer_form, g.integer_form
     up = rel.up
     denom = lcm(df, dg)

@@ -149,6 +149,44 @@ class _UpSets(dict):
         raise UnknownAlternative(a)
 
 
+class _Profiles(dict):
+    """``BaseRelation.profiles``: each lottery's bit profile over the
+    relation's ``_index``, built on its first lookup from the up-sets of
+    the lottery's alternatives, in entries order (an unknown one raises as
+    ``up`` does).
+
+    A profile is ``(support, above, equiv, alternatives)``: the bits of the
+    support, the OR of its alternatives' strictly-above masks, the OR of
+    their equivalence masks, and ``(bit, up mask, strictly-above mask)``
+    for each alternative in entries order.  b is strictly above a when b
+    is in ``up[a]`` and a is not in ``up[b]``; a member b of ``up[a]``
+    with no mask of its own is strictly above a.
+    """
+
+    __slots__ = ("_index", "_masks", "_up")
+
+    def __init__(self, index: dict[str, int], masks: dict[str, int], up: dict):
+        self._index, self._masks, self._up = index, masks, up
+
+    def __missing__(self, lot):
+        index, masks, up = self._index, self._masks, self._up
+        support = above = equiv = 0
+        alternatives = []
+        for a, _ in lot.entries:
+            members = up[a]  # before index[a]: an unknown a may have no bit
+            i = index[a]
+            above_a = 0
+            for b in members:
+                if not masks.get(b, 0) >> i & 1:
+                    above_a |= 1 << index[b]
+            support |= 1 << i
+            above |= above_a
+            equiv |= masks[a] & ~above_a
+            alternatives.append((1 << i, masks[a], above_a))
+        profile = self[lot] = (support, above, equiv, tuple(alternatives))
+        return profile
+
+
 class BaseRelation:
     """Reflexive-transitive closure of declared facts over a universe.
 
@@ -157,6 +195,8 @@ class BaseRelation:
     a <= b.  ``up[a]``, the set of those b, is built from the masks on
     first access; the members of one equivalence class share one
     frozenset, and an unknown a raises :class:`UnknownAlternative`.
+    ``profiles`` keeps the bit profile of each lottery looked up in it,
+    for as long as the relation lives.
     Equality compares the universe and ``up``; the hash reads the
     universe alone, as ``up`` is a dict.
     """
@@ -202,6 +242,12 @@ class BaseRelation:
                 shared[mask] = frozenset(_members(self._index, mask))
             up[a] = shared[mask]
         return up
+
+    @_kept
+    def profiles(self) -> dict:
+        """Each queried lottery's bit profile (see :class:`_Profiles`),
+        built on its first lookup."""
+        return _Profiles(self._index, self._masks, self.up)
 
     @_kept
     def weak(self) -> frozenset[tuple[str, str]]:

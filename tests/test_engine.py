@@ -27,7 +27,7 @@ from partialpref.lottery import (
     make_lottery,
     mixture_table,
 )
-from partialpref.relation import FactKind, PrefFact, RelKind, build_base_relation
+from partialpref.relation import BaseRelation, FactKind, PrefFact, RelKind, build_base_relation
 
 from conftest import (
     all_relations,
@@ -143,8 +143,66 @@ def residual_graph_max_flow(excess, deficit, edges):
     return value, flow
 
 
-def input_order_filter(rel, offers):
-    """``maximal_filter`` scanning the other offers in input order."""
+def pairwise_support_kinds(rel, f, g):
+    """``engine._support_kinds`` as it was before lottery profiles: each
+    support pair classified on the up-sets, led by f's first alternative."""
+    up = rel.up
+    kinds = 0
+    for a, _ in f.entries:
+        up_a = up[a]
+        for b, _ in g.entries:
+            kinds |= engine._BIT[b in up_a][a in up[b]]
+    return kinds
+
+
+def unpruned_shift_reachable(rel, f, g):
+    """``engine.shift_reachable`` as it was before the bit tests on lottery
+    profiles: the up-sets read in the sorted union of both supports."""
+    (df, nf), (dg, ng) = f.integer_form, g.integer_form
+    up = rel.up
+    denom = math.lcm(df, dg)
+    mf, mg = denom // df, denom // dg
+    sources, excess, sinks, deficit = [], [], [], []
+    for a in sorted(nf.keys() | ng.keys()):
+        up_a = up[a]
+        d = nf.get(a, 0) * mf - ng.get(a, 0) * mg
+        if d > 0:
+            sources.append((a, up_a))
+            excess.append(d)
+        elif d:
+            sinks.append(a)
+            deficit.append(-d)
+    if not sources:
+        return None
+    edges = []
+    for i, (a, up_a) in enumerate(sources):
+        out = [(i, j) for j, b in enumerate(sinks) if b in up_a and a not in up[b]]
+        if not out:
+            return None
+        edges += out
+    if len({j for _, j in edges}) < len(sinks):
+        return None
+    value, flow = engine._max_flow(excess, deficit, edges)
+    if value != sum(excess):
+        return None
+    moves = {(a, a): F(min(x * mf, ng[a] * mg), denom) for a, x in nf.items() if a in ng}
+    for (i, j), mass in flow.items():
+        moves[(sources[i][0], sinks[j])] = F(mass, denom)
+    return engine.TransportPlan(moves=tuple(sorted(moves.items())))
+
+
+def oracle_compare(rel, f, g):
+    """``compare`` on the two oracles above."""
+    if f == g:
+        return engine.AdmissibleSet(frozenset({E}), ("identity: f = g",))
+    return engine._verdict(pairwise_support_kinds(rel, f, g),
+                           unpruned_shift_reachable(rel, f, g),
+                           unpruned_shift_reachable(rel, g, f))
+
+
+def input_order_filter(rel, offers, compare=compare):
+    """``maximal_filter`` scanning the other offers in input order, each
+    pair judged by ``compare``."""
     return [
         (name, lot)
         for name, lot in offers
@@ -386,6 +444,84 @@ class TestMaxFlow:
         # pushing source 0's flow over to sink 1
         assert engine._max_flow([1, 1], [1, 1], [(0, 0), (0, 1), (1, 0)]) == (
             2, {(0, 1): 1, (1, 0): 1})
+
+
+class TestProfilesAgreeWithOracles:
+    """The queries read the support kinds and the shift transport dead ends
+    off each relation's lottery profiles; the pairwise and unpruned oracles
+    read the up-sets.  Both must give the same verdicts, provenance, plans,
+    kept offers and unknown alternative, on first and later lookups."""
+
+    QUERIES = {
+        "support kinds": (engine._support_kinds, pairwise_support_kinds),
+        "compare": (compare, oracle_compare),
+        "dominates": (dominates,
+                      lambda rel, f, g: not pairwise_support_kinds(rel, f, g) & engine._MASK["<="]),
+        "shift_reachable": (shift_reachable, unpruned_shift_reachable),
+    }
+
+    @staticmethod
+    def open_relation(rng):
+        """``BaseRelation(universe, up)`` from up-sets that need not be
+        closed or reflexive, some with members outside the universe, and
+        sometimes an alternative of the universe with no up-set."""
+        alts = alt_names(rng.randint(2, 5))
+        outside = ["p0", "p1"]
+        keys = alts if rng.random() < 0.7 else alts[:-1]
+        up = {a: frozenset(b for b in alts + outside if rng.random() < 0.45) for a in keys}
+        return BaseRelation(frozenset(alts), up)
+
+    def assert_agree(self, rng, rel, lots, rounds):
+        """Random queries on ordered pairs of ``lots``, repeats included,
+        then ``maximal_filter`` on the lotteries as offers."""
+        for _ in range(rounds):
+            name = rng.choice(list(self.QUERIES))
+            query, oracle = self.QUERIES[name]
+            f, g = rng.choice(lots), rng.choice(lots)
+            # an AdmissibleSet is equal when its members and provenance are
+            assert outcome(lambda: query(rel, f, g)) == outcome(lambda: oracle(rel, f, g))
+        offers = [(f"o{i}", lot) for i, lot in enumerate(lots)]
+        assert outcome(lambda: maximal_filter(rel, offers)) == outcome(
+            lambda: input_order_filter(rel, offers, oracle_compare))
+
+    def lotteries(self, rng, names, count, denom=12):
+        return [random_grid_lottery(rng, rng.sample(names, rng.randint(1, min(4, len(names)))),
+                                    denom)
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_closed_relations(self, seed):
+        rng = random.Random(f"profiles-closed-{seed}")
+        for _ in range(60):
+            rel = mixed_relation(rng) if rng.random() < 0.5 else random_relation(rng, rng.randint(2, 6))
+            names = sorted(rel.universe) + (["zz"] if rng.random() < 0.2 else [])
+            self.assert_agree(rng, rel, self.lotteries(rng, names, rng.randint(2, 6)), 30)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_open_relations(self, seed):
+        rng = random.Random(f"profiles-open-{seed}")
+        for _ in range(60):
+            rel = self.open_relation(rng)
+            names = sorted(rel.universe) + rng.choice([[], [], ["p0"], ["zz"]])
+            self.assert_agree(rng, rel, self.lotteries(rng, names, rng.randint(2, 6)), 30)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_relation_many_pairs(self, seed):
+        rng = random.Random(f"profiles-reused-{seed}")
+        rel = None
+        while rel is None or len(rel._masks) < 3:
+            rel = mixed_relation(rng) if seed % 2 else self.open_relation(rng)
+        names = sorted(rel._masks) + ["zz"] * (seed % 3 == 0)  # alternatives with an up-set
+        lots = self.lotteries(rng, names, 8)
+        lots += [rng.choice(lots) for _ in range(3)]  # equal lotteries again
+        self.assert_agree(rng, rel, lots, 600)
+        for f, g in itertools.product(lots, repeat=2):
+            for name, (query, oracle) in self.QUERIES.items():
+                assert outcome(lambda: query(rel, f, g)) == outcome(lambda: oracle(rel, f, g))
+        # compare and dominates build the profile of every lottery met with
+        # another whose alternatives all have an up-set
+        known = {lot for lot in lots if lot.support() <= rel._masks.keys()}
+        assert rel.profiles.keys() == known and len(known) > 1
 
 
 class TestCompare:
@@ -827,7 +963,9 @@ class TestMaximalFilter:
         # cache over all 400 alternatives would cost more than a query.  A
         # restriction to the offers shares rel's index and keeps a mask for
         # its own alternatives alone, so queries on it build no up-set of
-        # rel at all; on rel itself they build nothing but the up-sets.
+        # rel at all; on rel itself they build nothing but the up-sets and
+        # the profiles of the queried lotteries, one entry per alternative
+        # of each lottery's support.
         rng = random.Random(400)
         layers = [alt_names(400)[k:k + 20] for k in range(0, 400, 20)]
         facts = [PrefFact(FactKind.EQUIV, *rng.sample(layer, 2)) for layer in layers]
@@ -843,12 +981,18 @@ class TestMaximalFilter:
         small = rel.restrict(a for _, lot in offers for a, _ in lot.entries)
         compare(small, offers[0][1], offers[1][1])
         maximal_filter(small, offers)
-        assert vars(small).keys() == {"universe", "_index", "_masks", "up"}
+        assert vars(small).keys() == {"universe", "_index", "_masks", "up", "profiles"}
         assert small._index is rel._index and small._masks.keys() == small.universe
         assert vars(rel).keys() == {"universe", "_index", "_masks"}
         compare(rel, offers[0][1], offers[1][1])
         maximal_filter(rel, offers)
-        assert vars(rel).keys() == {"universe", "_index", "_masks", "up"}
+        assert vars(rel).keys() == {"universe", "_index", "_masks", "up", "profiles"}
+        queried = {lot for _, lot in offers}
+        for r in (small, rel):
+            assert r.profiles.keys() == queried
+            for lot, (_, _, _, alternatives) in r.profiles.items():
+                bits = [bit for bit, _, _ in alternatives]
+                assert bits == [1 << rel._index[a] for a, _ in lot.entries]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scan_order_changes_no_result_and_no_error(self, seed):
@@ -894,6 +1038,16 @@ class TestMaximalFilter:
         offers = [(f"o{k}", deg(f"a{k}")) for k in range(6)]
         assert self.compare_calls(monkeypatch, rel, offers) == 6 * 5
         assert maximal_filter(rel, offers) == offers
+
+    def test_kept_offer_runs_both_shift_tests_against_every_other(self, monkeypatch):
+        # each compare tests a shift both ways, the bit tests included
+        rel = build_base_relation([], extra_universe={f"a{k}" for k in range(6)})
+        offers = [(f"o{k}", deg(f"a{k}")) for k in range(6)]
+        calls = []
+        monkeypatch.setattr(engine, "shift_reachable",
+                            lambda *args: calls.append(args) or shift_reachable(*args))
+        assert maximal_filter(rel, offers) == offers
+        assert len(calls) == 2 * 6 * 5
 
     @pytest.mark.parametrize("seed", range(10))
     def test_nonempty_output_on_nonempty_input(self, seed):
