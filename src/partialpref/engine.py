@@ -278,9 +278,18 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
         edges += out
     if len({j for _, j in edges}) < len(sinks):
         return None
-    value, flow = _max_flow(excess, deficit, edges)
-    if value != sum(excess):
-        return None
+    # with one source, the checks above found an edge to every sink, each
+    # carrying its sink's deficit; with one sink, each source's excess
+    # goes to it.  Such a flow is unique, so only two or more of each need
+    # a search
+    if len(sources) == 1:
+        flow = dict(zip(edges, deficit))
+    elif len(sinks) == 1:
+        flow = dict(zip(edges, excess))
+    else:
+        value, flow = _max_flow(excess, deficit, edges)
+        if value != sum(excess):
+            return None
     moves = {(a, a): Fraction(min(x * mf, ng[a] * mg), denom) for a, x in nf.items() if a in ng}
     for (i, j), mass in flow.items():
         moves[(sources[i][0], sinks[j])] = Fraction(mass, denom)
@@ -308,7 +317,11 @@ def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
     if f == g:
         return AdmissibleSet(frozenset({RelKind.EQUIV}), ("identity: f = g",))
     kinds = _support_kinds(rel, f, g)
-    return _verdict(kinds, shift_reachable(rel, f, g), shift_reachable(rel, g, f))
+    # a strict shift raises f's mass on the up-set of each alternative that
+    # receives mass, so no strict shift leads back: g => f is tested only
+    # when f => g has no plan (Strassen 1965; Kamae, Krengel & O'Brien 1977)
+    fg = shift_reachable(rel, f, g)
+    return _verdict(kinds, fg, shift_reachable(rel, g, f) if fg is None else None)
 
 
 # the verdict of each support-kinds mask when neither shift exists, filled

@@ -1,18 +1,19 @@
 """Finite-support lotteries with exact rational weights.
 
 All arithmetic uses :class:`fractions.Fraction`; no floating point enters
-the engine anywhere.  Lotteries are immutable values: hashable, comparable
-by their weight mapping, safe to share.
+the engine anywhere.  Lotteries are immutable, interned values: there is
+one live object per distribution, so they compare and hash by identity
+and are safe to share.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from _thread import allocate_lock
 from fractions import Fraction
-from functools import cache
 from itertools import repeat
 from math import gcd, lcm
 from operator import floordiv, sub
+from weakref import WeakValueDictionary
 
 from .errors import (
     AlphaOutOfRange,
@@ -21,7 +22,7 @@ from .errors import (
     NegativeWeight,
     NotNormalized,
 )
-from .relation import _kept, _read_only, check_id
+from .relation import _read_only, check_id
 
 __all__ = [
     "Lottery",
@@ -33,7 +34,28 @@ __all__ = [
 ]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+# the one live lottery of each integer form, keyed by the denominator and
+# the (alternative, numerator) pairs; an entry goes when its lottery does.
+# The lock keeps two threads from each making a lottery for one key.
+_INTERNED: WeakValueDictionary = WeakValueDictionary()
+_INTERNING = allocate_lock()
+
+
+def _interned(denom: int, nums: dict[str, int], entries=None) -> "Lottery":
+    """The live lottery whose integer form is ``(denom, nums)``; when there
+    is none, one is made with ``entries``, by default built from the form."""
+    key = denom, *nums.items()
+    with _INTERNING:
+        lot = _INTERNED.get(key)
+        if lot is None:
+            if entries is None:
+                entries = tuple((a, Fraction(x, denom)) for a, x in nums.items())
+            lot = object.__new__(Lottery)
+            lot.__dict__.update(entries=entries, integer_form=(denom, nums))
+            _INTERNED[key] = lot
+    return lot
 
 
 class Lottery:
@@ -41,56 +63,36 @@ class Lottery:
 
     ``entries`` is sorted by alternative id; every weight is a strictly
     positive Fraction and the weights sum to exactly 1.  Construct through
-    :func:`make_lottery` or :meth:`degenerate`.  The hash and the integer
-    form are computed on first use and kept on the instance.
+    :func:`make_lottery` or :meth:`degenerate`.  ``integer_form`` is
+    ``(denom, numerators)``: the least common denominator of the weights,
+    and each alternative's weight times ``denom``, in alternative order;
+    every caller shares the mapping and none may change it.
+
+    Lotteries are interned (hash-consing): every constructor, unpickling
+    and copying included, returns the one live object for its integer
+    form.  So equal lotteries are the same object, and equality and the
+    hash are those of ``object``, by identity.
     """
 
-    def __init__(self, entries: tuple[tuple[str, Fraction], ...]):
-        self.__dict__["entries"] = entries
+    __hash__ = object.__hash__  # one object per distribution: hash by identity, in C
+
+    def __new__(cls, entries: tuple[tuple[str, Fraction], ...]):
+        denom = lcm(*(w.denominator for _, w in entries))
+        return _interned(denom, {a: w.numerator * (denom // w.denominator) for a, w in entries}, entries)
 
     __setattr__ = __delattr__ = _read_only
 
     def __repr__(self) -> str:
         return f"Lottery(entries={self.entries!r})"
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        # the cached hashes tell most unequal lotteries apart without
-        # comparing their Fraction weights
-        if self is other:
-            return True
-        if not isinstance(other, Lottery):
-            return NotImplemented
-        return self._hash == other._hash and self.entries == other.entries
-
-    @_kept
-    def _hash(self) -> int:
-        # the integer form is a function of the entries, and hashing its
-        # ints skips Fraction.__hash__'s modular inverse on every weight
-        denom, nums = self.integer_form
-        return hash((denom, tuple(nums.items())))
-
-    def __getstate__(self):
-        # a string's hash differs between processes, so the cache stays behind
-        return {"entries": self.entries}
-
-    @_kept
-    def integer_form(self) -> tuple[int, Mapping[str, int]]:
-        """``(denom, numerators)``: the least common denominator of the
-        weights, and each alternative's weight times ``denom``, in
-        alternative order.  Every caller shares the mapping; none may
-        change it."""
-        denom = lcm(*(w.denominator for _, w in self.entries))
-        return denom, {a: w.numerator * (denom // w.denominator) for a, w in self.entries}
+    def __reduce__(self):
+        # pickles and copies are rebuilt through the constructor, so interned
+        return Lottery, (self.entries,)
 
     @classmethod
     def degenerate(cls, alternative: str) -> "Lottery":
         """The lottery assigning probability 1 to a single alternative."""
-        lot = cls(entries=((check_id(alternative), ONE),))
-        vars(lot)["integer_form"] = 1, {alternative: 1}
-        return lot
+        return _interned(1, {check_id(alternative): 1})
 
     def weight(self, alternative: str) -> Fraction:
         for a, w in self.entries:
@@ -135,9 +137,7 @@ def make_lottery(pairs, normalize: bool = False) -> Lottery:
     common = gcd(*acc.values())
     nums = {a: acc[a] // common for a in sorted(acc) if acc[a]}
     denom = total // common
-    lot = Lottery(entries=tuple((a, Fraction(x, denom)) for a, x in nums.items()))
-    vars(lot)["integer_form"] = denom, nums  # the value the property computes
-    return lot
+    return _interned(denom, nums)
 
 
 def convex_combine(alpha, f: Lottery, g: Lottery) -> Lottery:
@@ -182,6 +182,16 @@ def decompose(h: Lottery, f: Lottery, g: Lottery):
     return next((alpha for k, alpha, _ in mixture_table([f, g, h])[0][0, 1] if k == 2), None)
 
 
+class _Fractions(dict):
+    """``Fraction(n, d)`` by ``(n, d)``, each made on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        value = self[key] = Fraction(*key)
+        return value
+
+
 def mixture_table(lotteries) -> tuple[dict, dict[Fraction, list[list[tuple[int, int]]]]]:
     """Every mixture relation among a list of distinct lotteries, by index,
     as rows and as splits by coefficient.
@@ -205,7 +215,7 @@ def mixture_table(lotteries) -> tuple[dict, dict[Fraction, list[list[tuple[int, 
     every key is in (0, 1) and splits some member properly.
     """
     vectors = scale(lotteries)
-    fraction = cache(Fraction)  # one Fraction per coefficient
+    fraction = _Fractions()  # one Fraction per coefficient
     table = {}
     splits: dict[Fraction, list[list[tuple[int, int]]]] = {}
     for i, origin in enumerate(vectors[:-1]):
@@ -225,8 +235,8 @@ def mixture_table(lotteries) -> tuple[dict, dict[Fraction, list[list[tuple[int, 
             row = [(k, s) for k, s in on_ray[direction] if s <= steps]
             row.append((i, 0))
             row.sort()
-            table[i, j] = [(k, fraction(steps - s, steps), steps - s) for k, s in row]
-            table[j, i] = [(k, fraction(s, steps), s) for k, s in row]
+            table[i, j] = [(k, fraction[steps - s, steps], steps - s) for k, s in row]
+            table[j, i] = [(k, fraction[s, steps], s) for k, s in row]
             if len(row) > 2:  # not only the two boundaries
                 for pair in (i, j), (j, i):
                     for h, alpha, n in table[pair]:

@@ -157,7 +157,8 @@ def pairwise_support_kinds(rel, f, g):
 
 def unpruned_shift_reachable(rel, f, g):
     """``engine.shift_reachable`` as it was before the bit tests on lottery
-    profiles: the up-sets read in the sorted union of both supports."""
+    profiles and the forced flows: the up-sets read in the sorted union of
+    both supports, and max-flow on every instance with no dead end."""
     (df, nf), (dg, ng) = f.integer_form, g.integer_form
     up = rel.up
     denom = math.lcm(df, dg)
@@ -383,9 +384,11 @@ class TestShiftReachable:
         # sink c has no strictly worse source
         g = make_lottery([("b", half), ("c", half)])
         assert shift_reachable(rel, deg("a"), g) is None
-        # an instance with every source and sink matched still runs max-flow
+        # two sources and two sinks, every one matched: max-flow still runs
+        rel = build_base_relation([strict(a, b) for a in "ab" for b in "cd"])
         with pytest.raises(AssertionError, match="max-flow called"):
-            shift_reachable(rel, deg("a"), deg("b"))
+            shift_reachable(rel, make_lottery([("a", half), ("b", half)]),
+                            make_lottery([("c", half), ("d", half)]))
 
 
     def test_feasible_exactly_under_hall_condition(self):
@@ -404,6 +407,60 @@ class TestShiftReachable:
                 feasible += 1
                 assert_valid_plan(rel, plan, f, g)
         assert feasible >= 100 and infeasible >= 100
+
+    @staticmethod
+    def random_pair(rng):
+        """A mixed relation and two grid lotteries on it; half the time the
+        second is the first with some of its mass moved up strictly."""
+        rel = mixed_relation(rng)
+        alts = sorted(rel.universe)
+        f = random_grid_lottery(rng, alts, 12)
+        g = random_grid_lottery(rng, alts, 12)
+        if rng.random() < 0.5:
+            mass = {a: w for a, w in f.entries}
+            for a, w in f.entries:
+                above = [b for b in alts if rel.classify(a, b) is L]
+                if above and rng.random() < 0.7:
+                    part = w * F(rng.randint(1, 4), 4)
+                    mass[a] -= part
+                    b = rng.choice(above)
+                    mass[b] = mass.get(b, 0) + part
+            g = make_lottery(mass.items())
+        return rel, f, g
+
+    def test_one_source_or_one_sink_gives_the_max_flow_plan_without_it(self, monkeypatch):
+        calls = []
+        max_flow = engine._max_flow
+        monkeypatch.setattr(engine, "_max_flow", lambda *args: calls.append(args) or max_flow(*args))
+        forced = forced_plans = searched = 0
+        for seed in range(1500):
+            rng = random.Random(f"forced-flow-{seed}")
+            rel, f, g = self.random_pair(rng)
+            alts = f.support() | g.support()
+            sources = sum(f.weight(a) > g.weight(a) for a in alts)
+            sinks = sum(f.weight(a) < g.weight(a) for a in alts)
+            expected = unpruned_shift_reachable(rel, f, g)  # Edmonds-Karp
+            oracle_calls = len(calls)
+            plan = shift_reachable(rel, f, g)
+            assert plan == expected, seed
+            if sources == 1 or sinks == 1:
+                assert len(calls) == oracle_calls, seed
+                forced += 1
+                forced_plans += plan is not None
+            else:
+                searched += len(calls) - oracle_calls
+        assert forced >= 500 and forced_plans >= 300 and searched >= 20, (forced, forced_plans, searched)
+
+    def test_no_pair_shifts_both_ways(self):
+        one_way = 0
+        for seed in range(1500):
+            rng = random.Random(f"both-ways-{seed}")
+            rel, f, g = self.random_pair(rng)
+            fg, gf = unpruned_shift_reachable(rel, f, g), unpruned_shift_reachable(rel, g, f)
+            assert fg is None or gf is None, seed
+            assert (shift_reachable(rel, f, g), shift_reachable(rel, g, f)) == (fg, gf), seed
+            one_way += fg is not None or gf is not None
+        assert one_way >= 500, one_way
 
 
 class TestMaxFlow:
@@ -577,6 +634,28 @@ class TestCompare:
         profile = cross_profile(rel, f, g)
         if set(profile.values()) <= {E, I}:
             assert v_fg.members <= {E, I}
+
+    def test_reverse_shift_tested_only_without_a_forward_plan(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "shift_reachable",
+                            lambda *args: calls.append(args) or shift_reachable(*args))
+        plans = 0
+        for seed in range(400):
+            rng = random.Random(f"compare-calls-{seed}")
+            rel, f, g = TestShiftReachable.random_pair(rng)
+            calls.clear()
+            verdict = compare(rel, f, g)
+            forward = shift_reachable(rel, f, g)
+            if f is g:
+                assert calls == []
+            elif forward is not None:
+                assert calls == [(rel, f, g)] and verdict.members == {L}
+                plans += 1
+            else:
+                assert calls == [(rel, f, g), (rel, g, f)]
+            expected = oracle_compare(rel, f, g)
+            assert (verdict.members, verdict.provenance) == (expected.members, expected.provenance)
+        assert plans >= 100, plans
 
     @pytest.mark.parametrize("kinds", range(16))
     def test_verdict_table_without_shifts(self, kinds):

@@ -1,12 +1,17 @@
+import copy
+import functools
+import gc
 import itertools
 import pickle
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 
+from partialpref import lottery
 from partialpref.errors import (
     AlphaOutOfRange,
     DegeneratePair,
@@ -57,10 +62,17 @@ def outcome(build, pairs, normalize):
 
 
 class TestCachedHash:
+    """Lotteries are interned, so the hash is ``object``'s, by identity."""
+
     def test_equal_lotteries_hash_alike(self):
         f = make_lottery([("a", F(1, 3)), ("b", F(2, 3))])
         g = make_lottery([("b", F(2, 3)), ("a", F(1, 3))])
-        assert hash(f) == hash(f) == hash(g) == hash((3, (("a", 1), ("b", 2))))
+        assert f is g and f is Lottery(f.entries) and f is Lottery(((("a", F(1, 3)), ("b", F(2, 3)))))
+        assert hash(f) == hash(g) == object.__hash__(f)
+        # one table entry per distribution, keyed by its integer form
+        assert lottery._INTERNED[3, ("a", 1), ("b", 2)] is f
+        assert Lottery.degenerate("a") is make_lottery([("a", F(2, 2))]) is Lottery((("a", 1),))
+        assert "__hash__" in vars(Lottery) and "__eq__" not in vars(Lottery)
 
     def test_every_construction_hashes_alike(self):
         rng = random.Random(14)
@@ -83,11 +95,17 @@ class TestCachedHash:
 
     def test_caches_kept_in_the_instance_dict_and_out_of_pickles(self):
         lot = Lottery.degenerate("a")
-        assert vars(lot)["integer_form"] == Lottery(lot.entries).integer_form == (1, {"a": 1})
-        assert "_hash" not in vars(lot)
-        assert hash(lot) == vars(lot)["_hash"] == hash(Lottery(lot.entries))
-        assert lot.__getstate__() == {"entries": lot.entries}
-        assert vars(pickle.loads(pickle.dumps(lot))) == {"entries": lot.entries}
+        assert vars(lot) == {"entries": lot.entries, "integer_form": (1, {"a": 1})}
+        assert Lottery(lot.entries).integer_form == (1, {"a": 1})
+        # a pickle holds the entries alone, and loading it or copying the
+        # lottery gives back the live object
+        assert lot.__reduce__() == (Lottery, (lot.entries,))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(lot, protocol)) is lot
+        assert copy.deepcopy(lot) is lot and copy.copy(lot) is lot
+        f = make_lottery([("a", F(1, 3)), ("b", F(2, 3))])
+        assert pickle.loads(pickle.dumps([f, lot])) == [f, lot]
+        assert copy.deepcopy({f: [lot]}).popitem() == (f, [lot])
 
     def test_unpickled_lottery_hashes_as_built_here(self):
         # the pickle comes from a process with another string hash seed
@@ -148,10 +166,61 @@ class TestEquality:
         assert f.__eq__(f.entries) is NotImplemented
         assert f != f.entries and f != "f" and f != None  # noqa: E711
 
-    def test_lotteries_with_equal_hashes_compare_entries(self):
-        f, g = Lottery.degenerate("a"), Lottery.degenerate("b")
-        vars(g)["_hash"] = f._hash
-        assert f != g and hash(f) == hash(g)
+    def test_different_distributions_are_distinct_objects(self):
+        rng = random.Random(25)
+        lots = {}
+        for _ in range(400):
+            lot = random_grid_lottery(rng, alt_names(4), rng.choice((2, 3, 4, 6)))
+            lots.setdefault(lot.entries, []).append(lot)
+        assert len(lots) >= 80
+        for built in lots.values():
+            assert all(lot is built[0] for lot in built)
+        distinct = [built[0] for built in lots.values()]
+        for f, g in itertools.combinations(distinct, 2):
+            assert f is not g and f != g and not f == g
+        assert len({hash(lot) for lot in distinct}) == len(distinct)
+
+
+class TestInterning:
+    def test_table_keeps_only_live_lotteries(self):
+        kept = make_lottery([("a", F(1, 7)), ("b", F(6, 7))])
+        gc.collect()
+        before = len(lottery._INTERNED)
+        denom = 1009  # a prime: every weight k/1009 is in lowest terms
+        built = [make_lottery([("a", F(k, denom)), ("b", F(denom - k, denom))])
+                 for k in range(1, 1001)]
+        assert len(set(map(id, built))) == 1000
+        assert len(lottery._INTERNED) == before + 1000
+        del built
+        gc.collect()
+        assert len(lottery._INTERNED) <= before
+        assert make_lottery([("b", F(6, 7)), ("a", F(1, 7))]) is kept
+        assert lottery._INTERNED[7, ("a", 1), ("b", 6)] is kept
+
+    def test_threads_building_one_distribution_get_one_object(self):
+        denom, count, workers = 1013, 300, 6  # a prime denominator: distinct fresh lotteries
+        built = [[] for _ in range(workers)]
+        start = threading.Barrier(workers, timeout=10)
+
+        def build(out):
+            start.wait()
+            for k in range(1, count + 1):
+                out.append(make_lottery([("a", F(k, denom)), ("b", F(denom - k, denom))]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(out,)) for out in built]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == count for out in built)
+        for lots in zip(*built):
+            assert all(lot is lots[0] for lot in lots)
 
 
 class TestIntegerWeights:
@@ -365,6 +434,40 @@ class TestMixtureTable:
                 for k in rng.sample(range(len(lots)), min(3, len(lots))):
                     assert decompose(lots[k], lots[i], lots[j]) == inner.get(k)
         assert proper >= 2000, proper
+
+    def test_coefficient_memo_matches_functools_cache(self, monkeypatch):
+        # the coefficients were memoized by functools.cache(Fraction); with
+        # that memo put back, the tables, the splits, their key order and
+        # which entries share one Fraction object are the same
+        class CachedFractions:
+            def __init__(self):
+                self.fraction = functools.cache(F)
+
+            def __getitem__(self, key):
+                return self.fraction(*key)
+
+        def shared(table):
+            first = {}
+            return [first.setdefault(id(alpha), len(first))
+                    for row in table.values() for _, alpha, _ in row]
+
+        rng = random.Random(2025)
+        for _ in range(60):
+            alts = alt_names(rng.randint(2, 4))
+            lots = [random_grid_lottery(rng, alts, rng.choice((2, 3, 4, 6)))
+                    for _ in range(rng.randint(2, 6))]
+            for _ in range(rng.randint(0, 4)):
+                f, g = rng.sample(lots, 2)
+                lots.append(convex_combine(F(rng.randint(1, 5), 6), f, g))
+            lots = list(dict.fromkeys(lots))
+            table, splits = mixture_table(lots)
+            with monkeypatch.context() as patch:
+                patch.setattr(lottery, "_Fractions", CachedFractions)
+                old_table, old_splits = mixture_table(lots)
+            assert list(table.items()) == list(old_table.items())
+            assert list(splits.items()) == list(old_splits.items())
+            assert shared(table) == shared(old_table)
+            assert all(type(alpha) is F for row in table.values() for _, alpha, _ in row)
 
 
 def two_pass_splits(table, size):

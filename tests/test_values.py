@@ -108,7 +108,8 @@ class TestValueClass:
 
     def test_equality_and_hash(self, name):
         value, equal, unequal, _ = CASES[name]()
-        assert value is not equal
+        # a lottery is interned: one object per distribution
+        assert value is equal if name == "Lottery" else value is not equal
         assert value == equal and not value != equal
         assert hash(value) == hash(equal)
         assert len({value, equal}) == 1
