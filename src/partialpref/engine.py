@@ -8,7 +8,9 @@ Lifts the base preorder on alternatives to lottery pairs:
   max-flow feasibility with the strict pairs as edges;
 * ``compare`` — the set of judgments not refuted by the elimination rules
   R1-R5 (an over-approximation: the true judgment of any admissible
-  extension of the base relation is always a member);
+  extension of the base relation is always a member), decided on four
+  bits of the lotteries' profiles and the shift tests; the rule notes and
+  the plans' moves are built only when read;
 * ``saturate`` — least fixpoint of the mixture derivation rules over a
   finite lottery family;
 * ``maximal_filter`` — keeps the offers not certainly strictly dominated.
@@ -25,7 +27,7 @@ from operator import le
 from .errors import DuplicateOfferName
 from .lottery import Lottery, mixture_table, scale
 from .lottery import decompose  # noqa: F401  bench/test_bench.py traces it here
-from .relation import _KIND, BaseRelation, RelKind, _LastFieldAside
+from .relation import BaseRelation, RelKind, _kept, _LastFieldAside, _read_only
 
 __all__ = [
     "AdmissibleSet",
@@ -54,28 +56,60 @@ REFUTES = {
     "!>": frozenset({RelKind.GREATER}),
 }
 
-# a support pair's kind as one bit, laid out like relation._KIND:
-# [a <= b][b <= a] gives INCOMP 1, GREATER 2, LESS 4, EQUIV 8
-_BIT = ((1, 2), (4, 8))
-# the kinds each conclusion refutes, as a mask of those bits
-_MASK = {
-    note: sum(_BIT[i][j] for i, row in enumerate(_KIND) for j, kind in enumerate(row)
-              if kind in refuted)
-    for note, refuted in REFUTES.items()
-}
+# what the pairs in supp(f) x supp(g) hold, one bit for each rule that
+# reads it: some pair a, b has not a <= b (blocks R1), some has not
+# b <= a (blocks R2), some has a < b (blocks R4), some has a > b (blocks R5)
+_NOT_LE, _NOT_GE, _SOME_LESS, _SOME_GREATER = 1, 2, 4, 8
 _ALL_KINDS = frozenset(RelKind)
 _ONLY_LESS = frozenset({RelKind.LESS})
 
 
-class AdmissibleSet(namedtuple("AdmissibleSet", "members provenance")):
-    """Nonempty subset of the four judgment symbols plus rule provenance."""
+def _nonempty(members) -> None:
+    if not members:
+        raise ValueError("admissible set must be nonempty")
 
-    __slots__ = ()
 
-    def __new__(cls, members: frozenset[RelKind], provenance: tuple[str, ...] = ()):
-        if not members:
-            raise ValueError("admissible set must be nonempty")
-        return super().__new__(cls, members, provenance)
+class AdmissibleSet:
+    """Nonempty subset of the four judgment symbols plus rule provenance.
+
+    A verdict of :func:`compare` with a shift plan fixes its ``members``
+    at once and builds ``provenance``, the notes of the rules that fired,
+    on first read.
+    """
+
+    def __init__(self, members: frozenset[RelKind], provenance: tuple[str, ...] = ()):
+        _nonempty(members)
+        self.__dict__.update(members=members, provenance=provenance)
+
+    @classmethod
+    def _deferred(cls, members: frozenset[RelKind], kinds: int, fg, gf) -> "AdmissibleSet":
+        """The verdict with ``members`` whose provenance is that of
+        :func:`_rules` on ``kinds``, ``fg`` and ``gf``, built when read."""
+        _nonempty(members)
+        verdict = cls.__new__(cls)
+        verdict.__dict__.update(members=members, _decided=(kinds, fg, gf))
+        return verdict
+
+    __setattr__ = __delattr__ = _read_only
+
+    @_kept
+    def provenance(self) -> tuple[str, ...]:
+        """The notes of the rules that fired, in rule order."""
+        return tuple(note for note, _ in _rules(*self._decided) if note)
+
+    def __eq__(self, other):
+        if other.__class__ is not AdmissibleSet:
+            return NotImplemented
+        return self.members == other.members and self.provenance == other.provenance
+
+    def __hash__(self):
+        return hash((self.members, self.provenance))
+
+    def __repr__(self):
+        return f"AdmissibleSet(members={self.members!r}, provenance={self.provenance!r})"
+
+    def __reduce__(self):
+        return AdmissibleSet, (self.members, self.provenance)
 
     @classmethod
     def refute(cls, rules) -> "AdmissibleSet":
@@ -90,15 +124,55 @@ class AdmissibleSet(namedtuple("AdmissibleSet", "members provenance")):
         return cls(members, tuple(provenance))
 
 
-class TransportPlan(namedtuple("TransportPlan", "moves")):
+class TransportPlan:
     """Witness that g is reachable from f by strictly improving shifts.
 
-    ``moves`` maps (source, target) to positive mass; row sums equal f's
-    weights, column sums equal g's weights, and every off-diagonal move
-    goes to a strictly preferred alternative.
+    ``moves`` maps (source, target) to positive mass, as sorted items; row
+    sums equal f's weights, column sums equal g's weights, and every
+    off-diagonal move goes to a strictly preferred alternative.  A plan of
+    :func:`shift_reachable` holds its integer flow and builds ``moves`` on
+    first read.
     """
 
-    __slots__ = ()
+    def __init__(self, moves: tuple[tuple[tuple[str, str], Fraction], ...]):
+        self.__dict__["moves"] = moves
+
+    @classmethod
+    def _of_flow(cls, f: Lottery, g: Lottery, sources, sinks, flow) -> "TransportPlan":
+        """The plan that keeps f's mass where g has weight too and moves
+        ``flow[i, j]`` from the alternative of ``sources[i]`` to
+        ``sinks[j]``, in units of the common denominator of f and g."""
+        plan = cls.__new__(cls)
+        plan.__dict__["_flow"] = f, g, sources, sinks, flow
+        return plan
+
+    __setattr__ = __delattr__ = _read_only
+
+    @_kept
+    def moves(self) -> tuple[tuple[tuple[str, str], Fraction], ...]:
+        """The moves of the integer flow, as sorted items."""
+        f, g, sources, sinks, flow = self._flow
+        (df, nf), (dg, ng) = f.integer_form, g.integer_form
+        denom = lcm(df, dg)
+        mf, mg = denom // df, denom // dg
+        moves = {(a, a): Fraction(min(x * mf, ng[a] * mg), denom) for a, x in nf.items() if a in ng}
+        for (i, j), mass in flow.items():
+            moves[(sources[i][0], sinks[j])] = Fraction(mass, denom)
+        return tuple(sorted(moves.items()))
+
+    def __eq__(self, other):
+        if other.__class__ is not TransportPlan:
+            return NotImplemented
+        return self.moves == other.moves
+
+    def __hash__(self):
+        return hash(self.moves)
+
+    def __repr__(self):
+        return f"TransportPlan(moves={self.moves!r})"
+
+    def __reduce__(self):
+        return TransportPlan, (self.moves,)
 
     def move_dict(self) -> dict[tuple[str, str], Fraction]:
         return dict(self.moves)
@@ -126,8 +200,8 @@ def cross_profile(rel: BaseRelation, f: Lottery, g: Lottery):
 
 
 def _support_kinds(rel: BaseRelation, f: Lottery, g: Lottery) -> int:
-    """The kinds of the pairs in supp(f) x supp(g), as a mask of ``_BIT``,
-    read from the two lotteries' profiles in ``rel.profiles``."""
+    """What the pairs in supp(f) x supp(g) hold, as a mask of the rule
+    bits, read from the two lotteries' profiles in ``rel.profiles``."""
     profiles = rel.profiles
     pf, pg = profiles.get(f), profiles.get(g)
     if pf is None or pg is None:
@@ -136,27 +210,16 @@ def _support_kinds(rel: BaseRelation, f: Lottery, g: Lottery) -> int:
         rel.up[f.entries[0][0]]
         pg = profiles[g]
         pf = profiles[f]
-    support_f, above_f, equiv_f, alts_f = pf
-    support_g, above_g, _, alts_g = pg
-    # a pair (a, b) is comparable when b is in up[a], or a strictly above b
-    comparable = 0
-    for _, up_a, _ in alts_f:
-        comparable += (up_a & support_g).bit_count()
-    for _, _, above_b in alts_g:
-        comparable += (above_b & support_f).bit_count()
-    kinds = 1 if comparable < len(alts_f) * len(alts_g) else 0  # INCOMP
-    if above_g & support_f:
-        kinds |= 2  # GREATER
-    if above_f & support_g:
-        kinds |= 4  # LESS
-    if equiv_f & support_g:
-        kinds |= 8  # EQUIV
-    return kinds
+    support_f, above_f, up_all_f, _ = pf
+    support_g, above_g, up_all_g, _ = pg
+    # every pair is a <= b iff supp(g) lies in the up-set of each a
+    return ((support_g & ~up_all_f and _NOT_LE) | (support_f & ~up_all_g and _NOT_GE)
+            | (above_f & support_g and _SOME_LESS) | (above_g & support_f and _SOME_GREATER))
 
 
 def dominates(rel: BaseRelation, f: Lottery, g: Lottery) -> bool:
     """True iff every support pair of (f, g) is Less or Equiv, hence f <= g."""
-    return not _support_kinds(rel, f, g) & _MASK["<="]
+    return not _support_kinds(rel, f, g) & _NOT_LE
 
 
 def _max_flow(excess: list[int], deficit: list[int], edges):
@@ -232,7 +295,8 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
     Feasible iff the excess mass of f over g can be routed entirely along
     strict pairs onto g's excess; strict transitivity lets multi-step
     shift chains collapse to direct moves.  The pair is decided on integer
-    weights over its common denominator.
+    weights over its common denominator; a plan holds that integer flow
+    and builds its ``Fraction`` moves on first read.
 
     When both lotteries have a profile in ``rel.profiles`` (``compare``
     builds them before its shift tests), three necessary conditions are
@@ -249,8 +313,8 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
         support_g = pg[0]
         if not above_f & support_g or support_g & ~(support_f | above_f):
             return None
-        for bit, _, above_a in alts_f:
-            if not (bit | above_a) & support_g:
+        for reach in alts_f:
+            if not reach & support_g:
                 return None
     (df, nf), (dg, ng) = f.integer_form, g.integer_form
     up = rel.up
@@ -290,10 +354,7 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
         value, flow = _max_flow(excess, deficit, edges)
         if value != sum(excess):
             return None
-    moves = {(a, a): Fraction(min(x * mf, ng[a] * mg), denom) for a, x in nf.items() if a in ng}
-    for (i, j), mass in flow.items():
-        moves[(sources[i][0], sinks[j])] = Fraction(mass, denom)
-    return TransportPlan(moves=tuple(sorted(moves.items())))
+    return TransportPlan._of_flow(f, g, sources, sinks, flow)
 
 
 def up_masses(rel: BaseRelation, lotteries) -> list[tuple[int, ...]]:
@@ -313,7 +374,11 @@ def up_masses(rel: BaseRelation, lotteries) -> list[tuple[int, ...]]:
 
 
 def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
-    """Judgments between f and g not refuted by rules R1-R5."""
+    """Judgments between f and g not refuted by rules R1-R5.
+
+    The members are decided at once; the provenance, and the moves of a
+    shift plan in it, are built on first read (see :class:`AdmissibleSet`).
+    """
     if f == g:
         return AdmissibleSet(frozenset({RelKind.EQUIV}), ("identity: f = g",))
     kinds = _support_kinds(rel, f, g)
@@ -321,35 +386,51 @@ def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
     # receives mass, so no strict shift leads back: g => f is tested only
     # when f => g has no plan (Strassen 1965; Kamae, Krengel & O'Brien 1977)
     fg = shift_reachable(rel, f, g)
-    return _verdict(kinds, fg, shift_reachable(rel, g, f) if fg is None else None)
+    gf = shift_reachable(rel, g, f) if fg is None else None
+    if fg is None and gf is None and kinds in _NO_SHIFT:
+        return _NO_SHIFT[kinds]
+    return _verdict(kinds, fg, gf)
 
 
-# the verdict of each support-kinds mask when neither shift exists, filled
+# the verdict of each mask of rule bits when neither shift exists, filled
 # on first use; an AdmissibleSet is immutable, so pairs share it
 _NO_SHIFT: dict[int, AdmissibleSet] = {}
 
 
-def _verdict(kinds: int, fg, gf) -> AdmissibleSet:
-    """The judgments rules R1-R5 leave for a pair whose support pairs have
-    the ``kinds`` mask and whose shift plans, either way, are fg and gf."""
-    no_shift = fg is None and gf is None
-    if no_shift and kinds in _NO_SHIFT:
-        return _NO_SHIFT[kinds]
-    verdict = AdmissibleSet.refute((
-        (not kinds & _MASK["<="]
+def _rules(kinds: int, fg, gf):
+    """Rows ``(note, refuted kinds)`` of rules R1-R5, in order, for a pair
+    whose support pairs hold the rule bits ``kinds`` and whose shift plans,
+    either way, are fg and gf; a row fires when its note is nonempty."""
+    return (
+        (not kinds & _NOT_LE
          and "R1 dominance f <= g: every support pair is < or ~", REFUTES["<="]),
-        (not kinds & _MASK[">="]
+        (not kinds & _NOT_GE
          and "R2 dominance g <= f: every support pair is > or ~", REFUTES[">="]),
         (fg and f"R3 shift f => g with plan {fg.move_dict()}", REFUTES["<"]),
         (gf and f"R3' shift g => f with plan {gf.move_dict()}", REFUTES[">"]),
-        (not kinds & _MASK["!<"]
+        (not kinds & _SOME_LESS
          and "R4 no support pair is <, so f < g is impossible", REFUTES["!<"]),
-        (not kinds & _MASK["!>"]
+        (not kinds & _SOME_GREATER
          and "R5 no support pair is >, so f > g is impossible", REFUTES["!>"]),
-    ))
-    if no_shift:
-        _NO_SHIFT[kinds] = verdict
-    return verdict
+    )
+
+
+def _verdict(kinds: int, fg, gf) -> AdmissibleSet:
+    """The judgments rules R1-R5 leave for a pair whose support pairs hold
+    the rule bits ``kinds`` and whose shift plans, either way, are fg and
+    gf.  A shift row removes its kinds from the verdict without shifts;
+    its notes, and the plans' moves, are built when the provenance is read."""
+    verdict = _NO_SHIFT.get(kinds)
+    if verdict is None:
+        verdict = _NO_SHIFT[kinds] = AdmissibleSet.refute(_rules(kinds, None, None))
+    if fg is None and gf is None:
+        return verdict
+    members = verdict.members
+    if fg is not None:
+        members -= REFUTES["<"]
+    if gf is not None:
+        members -= REFUTES[">"]
+    return AdmissibleSet._deferred(members, kinds, fg, gf)
 
 
 def consequences(table, splits, size, weak, strict):

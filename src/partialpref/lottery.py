@@ -43,15 +43,14 @@ _INTERNED: WeakValueDictionary = WeakValueDictionary()
 _INTERNING = allocate_lock()
 
 
-def _interned(denom: int, nums: dict[str, int], entries=None) -> "Lottery":
+def _interned(denom: int, nums: dict[str, int]) -> "Lottery":
     """The live lottery whose integer form is ``(denom, nums)``; when there
-    is none, one is made with ``entries``, by default built from the form."""
+    is none, one is made with entries built from the form."""
     key = denom, *nums.items()
     with _INTERNING:
         lot = _INTERNED.get(key)
         if lot is None:
-            if entries is None:
-                entries = tuple((a, Fraction(x, denom)) for a, x in nums.items())
+            entries = tuple((a, Fraction(x, denom)) for a, x in nums.items())
             lot = object.__new__(Lottery)
             lot.__dict__.update(entries=entries, integer_form=(denom, nums))
             _INTERNED[key] = lot
@@ -62,8 +61,9 @@ class Lottery:
     """A probability distribution with finite, nonempty support.
 
     ``entries`` is sorted by alternative id; every weight is a strictly
-    positive Fraction and the weights sum to exactly 1.  Construct through
-    :func:`make_lottery` or :meth:`degenerate`.  ``integer_form`` is
+    positive Fraction and the weights sum to exactly 1.  ``Lottery(entries)``
+    is ``make_lottery(entries)``: it takes (alternative, weight) pairs in
+    any order and applies the same checks.  ``integer_form`` is
     ``(denom, numerators)``: the least common denominator of the weights,
     and each alternative's weight times ``denom``, in alternative order;
     every caller shares the mapping and none may change it.
@@ -76,9 +76,8 @@ class Lottery:
 
     __hash__ = object.__hash__  # one object per distribution: hash by identity, in C
 
-    def __new__(cls, entries: tuple[tuple[str, Fraction], ...]):
-        denom = lcm(*(w.denominator for _, w in entries))
-        return _interned(denom, {a: w.numerator * (denom // w.denominator) for a, w in entries}, entries)
+    def __new__(cls, entries):
+        return make_lottery(entries)
 
     __setattr__ = __delattr__ = _read_only
 

@@ -155,12 +155,12 @@ class _Profiles(dict):
     the lottery's alternatives, in entries order (an unknown one raises as
     ``up`` does).
 
-    A profile is ``(support, above, equiv, alternatives)``: the bits of the
-    support, the OR of its alternatives' strictly-above masks, the OR of
-    their equivalence masks, and ``(bit, up mask, strictly-above mask)``
-    for each alternative in entries order.  b is strictly above a when b
-    is in ``up[a]`` and a is not in ``up[b]``; a member b of ``up[a]``
-    with no mask of its own is strictly above a.
+    A profile is ``(support, above, up_all, alternatives)``: the bits of
+    the support, the OR of its alternatives' strictly-above masks, the AND
+    of their up masks, and for each alternative in entries order its bit
+    ORed with its strictly-above mask.  b is strictly above a when b is in
+    ``up[a]`` and a is not in ``up[b]``; a member b of ``up[a]`` with no
+    mask of its own is strictly above a.
     """
 
     __slots__ = ("_index", "_masks", "_up")
@@ -170,7 +170,8 @@ class _Profiles(dict):
 
     def __missing__(self, lot):
         index, masks, up = self._index, self._masks, self._up
-        support = above = equiv = 0
+        support = above = 0
+        up_all = -1
         alternatives = []
         for a, _ in lot.entries:
             members = up[a]  # before index[a]: an unknown a may have no bit
@@ -181,9 +182,9 @@ class _Profiles(dict):
                     above_a |= 1 << index[b]
             support |= 1 << i
             above |= above_a
-            equiv |= masks[a] & ~above_a
-            alternatives.append((1 << i, masks[a], above_a))
-        profile = self[lot] = (support, above, equiv, tuple(alternatives))
+            up_all &= masks[a]
+            alternatives.append(1 << i | above_a)
+        profile = self[lot] = (support, above, up_all, tuple(alternatives))
         return profile
 
 

@@ -33,6 +33,23 @@ def random_relation(rng: random.Random, n: int) -> BaseRelation:
     return build_base_relation(random_facts(rng, n), extra_universe=set(alt_names(n)))
 
 
+def mixed_relation(rng: random.Random, most: int = 6) -> BaseRelation:
+    """A random partial preorder, or the Pareto preorder of one or two
+    integer utilities, on 2 to ``most`` alternatives."""
+    n = rng.randint(2, most)
+    utilities = rng.randrange(3)
+    if not utilities:
+        return random_relation(rng, n)
+    alts = alt_names(n)
+    us = [{a: rng.randrange(n) for a in alts} for _ in range(utilities)]
+    facts = [
+        PrefFact(FactKind.WEAK, a, b)
+        for a, b in itertools.permutations(alts, 2)
+        if all(u[a] <= u[b] for u in us)
+    ]
+    return build_base_relation(facts, extra_universe=set(alts))
+
+
 def all_relations(n: int) -> list[BaseRelation]:
     """Every preorder on n alternatives, built from its up-sets."""
     return [BaseRelation(universe=frozenset(alt_names(n)), up=up) for up in all_up_sets(n)]

@@ -26,7 +26,7 @@ from partialpref.casetable import (
 from partialpref.cli import run
 from partialpref.engine import compare, cross_profile, dominates, shift_reachable
 from partialpref.lottery import Lottery, convex_combine, decompose, make_lottery
-from partialpref.relation import RelKind
+from partialpref.relation import BaseRelation, RelKind
 
 from conftest import (
     all_relations,
@@ -205,7 +205,8 @@ def test_criterion_6_bob_scenario_cli():
 
 def test_criterion_7_engine_invariants():
     rng = random.Random(7)
-    # compare: never empty, mirror-symmetric
+    # compare: never empty, mirror-symmetric, the same on the relation
+    # rebuilt from its up-sets
     for _ in range(200):
         rel = random_relation(rng, rng.randint(2, 5))
         alts = sorted(rel.universe)
@@ -214,6 +215,9 @@ def test_criterion_7_engine_invariants():
         v = compare(rel, f, g)
         assert v.members
         assert compare(rel, g, f).members == {k.mirror() for k in v.members}
+        rebuilt = BaseRelation(rel.universe, dict(rel.up))
+        assert compare(rebuilt, f, g).members == v.members
+        assert compare(rebuilt, g, f).members == {k.mirror() for k in v.members}
     # case-table outcomes mirror-symmetric
     for t in consistent_tuples():
         assert admissible_outcomes(t.mirror()).members == {

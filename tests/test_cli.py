@@ -140,6 +140,27 @@ class TestCompare:
         assert len(outputs) == 1
         assert b"R3 shift f => g with plan" in outputs.pop()
 
+    def test_verbose_text_of_shift_plans(self, chain, tmp_path):
+        # each R3 and R3' note prints its plan's moves, built when read
+        lots = tmp_path / "shifts.txt"
+        lots.write_text("g : c@1\nm : a@1/2, c@1/2\nh : a@1/4, b@1/4, c@1/2\n")
+        expected = {
+            ("m", "g"): "<\n"
+            "  R1 dominance f <= g: every support pair is < or ~\n"
+            "  R3 shift f => g with plan {('a', 'c'): Fraction(1, 2), ('c', 'c'): Fraction(1, 2)}\n"
+            "  R5 no support pair is >, so f > g is impossible\n",
+            ("g", "h"): ">\n"
+            "  R2 dominance g <= f: every support pair is > or ~\n"
+            "  R3' shift g => f with plan {('a', 'c'): Fraction(1, 4), ('b', 'c'): Fraction(1, 4), "
+            "('c', 'c'): Fraction(1, 2)}\n"
+            "  R4 no support pair is <, so f < g is impossible\n",
+        }
+        for (f, g), text in expected.items():
+            assert invoke("--verbose", "compare", str(chain), str(lots), f, g) == (0, text, "")
+        assert invoke("--verbose", "--format", "tsv", "compare", str(chain), str(lots), "h", "m") == (
+            0, "h\tm\t>\n  R3' shift g => f with plan {('a', 'a'): Fraction(1, 4), "
+            "('a', 'b'): Fraction(1, 4), ('c', 'c'): Fraction(1, 2)}\n", "")
+
     def test_unknown_name_is_usage_error(self, chain, lots):
         code, _, err = invoke("compare", str(chain), str(lots), "f", "zz")
         assert code == 1

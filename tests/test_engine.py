@@ -2,6 +2,7 @@ import collections
 import hashlib
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -34,6 +35,7 @@ from conftest import (
     alt_names,
     grid_lotteries,
     judgments_left,
+    mixed_relation,
     random_grid_lottery,
     random_relation,
 )
@@ -43,10 +45,6 @@ E, L, G, I = RelKind.EQUIV, RelKind.LESS, RelKind.GREATER, RelKind.INCOMP
 
 def strict(a, b):
     return PrefFact(FactKind.STRICT, a, b)
-
-
-def weak(a, b):
-    return PrefFact(FactKind.WEAK, a, b)
 
 
 def deg(a):
@@ -82,23 +80,6 @@ def hall_condition(rel, f, g):
             if sum(diff[a] for a in group) > -sum(diff[b] for b in above):
                 return False
     return True
-
-
-def mixed_relation(rng, most=6):
-    """A random partial preorder, or the Pareto preorder of one or two
-    integer utilities, on 2 to ``most`` alternatives."""
-    n = rng.randint(2, most)
-    utilities = rng.randrange(3)
-    if not utilities:
-        return random_relation(rng, n)
-    alts = alt_names(n)
-    us = [{a: rng.randrange(n) for a in alts} for _ in range(utilities)]
-    facts = [
-        weak(a, b)
-        for a, b in itertools.permutations(alts, 2)
-        if all(u[a] <= u[b] for u in us)
-    ]
-    return build_base_relation(facts, extra_universe=set(alts))
 
 
 def residual_graph_max_flow(excess, deficit, edges):
@@ -143,16 +124,29 @@ def residual_graph_max_flow(excess, deficit, edges):
     return value, flow
 
 
+# a support pair's kind as one bit, indexed by [a <= b][b <= a]
+KIND_BIT = ((1, 2), (4, 8))  # INCOMP 1, GREATER 2, LESS 4, EQUIV 8
+
+
 def pairwise_support_kinds(rel, f, g):
-    """``engine._support_kinds`` as it was before lottery profiles: each
-    support pair classified on the up-sets, led by f's first alternative."""
+    """The kinds of the pairs in supp(f) x supp(g), as a mask of
+    ``KIND_BIT``, each pair classified on the up-sets, led by f's first
+    alternative, as ``engine._support_kinds`` did before lottery profiles."""
     up = rel.up
     kinds = 0
     for a, _ in f.entries:
         up_a = up[a]
         for b, _ in g.entries:
-            kinds |= engine._BIT[b in up_a][a in up[b]]
+            kinds |= KIND_BIT[b in up_a][a in up[b]]
     return kinds
+
+
+def rule_bits(kinds):
+    """The rule bits of ``engine._support_kinds`` for a mask of support-pair
+    kinds: a pair that is > or # blocks R1, one that is < or # blocks R2,
+    one that is < blocks R4 and one that is > blocks R5."""
+    return ((kinds & 3 and engine._NOT_LE) | (kinds & 5 and engine._NOT_GE)
+            | (kinds & 4 and engine._SOME_LESS) | (kinds & 2 and engine._SOME_GREATER))
 
 
 def unpruned_shift_reachable(rel, f, g):
@@ -196,7 +190,7 @@ def oracle_compare(rel, f, g):
     """``compare`` on the two oracles above."""
     if f == g:
         return engine.AdmissibleSet(frozenset({E}), ("identity: f = g",))
-    return engine._verdict(pairwise_support_kinds(rel, f, g),
+    return engine._verdict(rule_bits(pairwise_support_kinds(rel, f, g)),
                            unpruned_shift_reachable(rel, f, g),
                            unpruned_shift_reachable(rel, g, f))
 
@@ -510,10 +504,11 @@ class TestProfilesAgreeWithOracles:
     kept offers and unknown alternative, on first and later lookups."""
 
     QUERIES = {
-        "support kinds": (engine._support_kinds, pairwise_support_kinds),
+        "support kinds": (engine._support_kinds,
+                          lambda rel, f, g: rule_bits(pairwise_support_kinds(rel, f, g))),
         "compare": (compare, oracle_compare),
         "dominates": (dominates,
-                      lambda rel, f, g: not pairwise_support_kinds(rel, f, g) & engine._MASK["<="]),
+                      lambda rel, f, g: not pairwise_support_kinds(rel, f, g) & 3),
         "shift_reachable": (shift_reachable, unpruned_shift_reachable),
     }
 
@@ -659,7 +654,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("kinds", range(16))
     def test_verdict_table_without_shifts(self, kinds):
-        # kinds bits: INCOMP 1, GREATER 2, LESS 4, EQUIV 8
+        # kinds bits as in KIND_BIT: INCOMP 1, GREATER 2, LESS 4, EQUIV 8
         pairs = {k for bit, k in zip((1, 2, 4, 8), (I, G, L, E)) if kinds & bit}
         expected = engine.AdmissibleSet.refute((
             (pairs <= {L, E} and "R1 dominance f <= g: every support pair is < or ~",
@@ -671,9 +666,87 @@ class TestCompare:
             (G not in pairs and "R5 no support pair is >, so f > g is impossible",
              engine.REFUTES["!>"]),
         ))
-        verdict = engine._verdict(kinds, None, None)
+        bits = rule_bits(kinds)
+        verdict = engine._verdict(bits, None, None)
         assert (verdict.members, verdict.provenance) == (expected.members, expected.provenance)
-        assert engine._NO_SHIFT[kinds] is verdict is engine._verdict(kinds, None, None)
+        assert engine._NO_SHIFT[bits] is verdict is engine._verdict(bits, None, None)
+
+
+class TestExplanationsOnDemand:
+    """A plan of ``shift_reachable`` builds its moves, and a verdict of
+    ``compare`` with a plan its provenance, on first read; read later, each
+    is the value an eager construction gives."""
+
+    @staticmethod
+    def shifted_pairs(count):
+        """``count`` seeded pairs (rel, f, g) with a plan f => g."""
+        pairs = []
+        for seed in itertools.count():
+            rel, f, g = TestShiftReachable.random_pair(random.Random(f"on-demand-{seed}"))
+            if unpruned_shift_reachable(rel, f, g) is not None:
+                pairs.append((rel, f, g))
+                if len(pairs) == count:
+                    return pairs
+
+    @staticmethod
+    def assert_like(lazy, eager, unread):
+        """``lazy``, with ``unread`` not yet built, equals, hashes, reprs
+        and pickles like ``eager`` and stays immutable."""
+        assert unread not in vars(lazy)
+        with pytest.raises(AttributeError):
+            setattr(lazy, unread, None)
+        assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+        assert unread in vars(lazy)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(lazy, protocol) == pickle.dumps(eager, protocol)
+        copy = pickle.loads(pickle.dumps(lazy))
+        assert type(copy) is type(lazy) and copy == lazy and repr(copy) == repr(eager)
+
+    def test_read_later_a_plan_is_the_eager_one(self):
+        for rel, f, g in self.shifted_pairs(200):
+            plan = shift_reachable(rel, f, g)
+            eager = engine.TransportPlan(unpruned_shift_reachable(rel, f, g).moves)
+            self.assert_like(plan, eager, "moves")
+            assert plan.move_dict() == dict(eager.moves)
+            assert_valid_plan(rel, plan, f, g)
+
+    def test_read_later_a_verdict_is_the_eager_one(self):
+        for rel, f, g in self.shifted_pairs(200):
+            for x, y in (f, g), (g, f):
+                verdict = compare(rel, x, y)
+                # the notes of an eager fold over the same rows
+                fg, gf = shift_reachable(rel, x, y), shift_reachable(rel, y, x)
+                kinds = rule_bits(pairwise_support_kinds(rel, x, y))
+                eager = engine.AdmissibleSet.refute(engine._rules(kinds, fg, gf))
+                eager = engine.AdmissibleSet(eager.members, eager.provenance)
+                assert "_decided" in vars(verdict)
+                self.assert_like(verdict, eager, "provenance")
+                assert verdict.members == ({L} if x is f else {G})
+
+    def test_filter_builds_no_moves_and_no_provenance(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} explained")
+
+        plans = []
+
+        def counted(*args):
+            plan = shift_reachable(*args)
+            plans.append(plan is not None)
+            return plan
+
+        rng = random.Random("on-demand-filter")
+        cases = []
+        for _ in range(40):
+            rel = mixed_relation(rng)
+            alts = sorted(rel.universe)
+            offers = [(f"o{i}", random_grid_lottery(rng, alts, 12)) for i in range(8)]
+            cases.append((rel, offers, input_order_filter(rel, offers, oracle_compare)))
+        monkeypatch.setattr(engine.TransportPlan, "moves", property(refuse))
+        monkeypatch.setattr(engine.AdmissibleSet, "provenance", property(refuse))
+        monkeypatch.setattr(engine, "shift_reachable", counted)
+        for rel, offers, expected in cases:
+            assert maximal_filter(rel, offers) == expected
+        assert sum(plans) >= 100, sum(plans)
 
 
 class TestSaturate:
@@ -1069,9 +1142,10 @@ class TestMaximalFilter:
         queried = {lot for _, lot in offers}
         for r in (small, rel):
             assert r.profiles.keys() == queried
-            for lot, (_, _, _, alternatives) in r.profiles.items():
-                bits = [bit for bit, _, _ in alternatives]
-                assert bits == [1 << rel._index[a] for a, _ in lot.entries]
+            for lot, (support, _, _, alternatives) in r.profiles.items():
+                bits = [1 << rel._index[a] for a, _ in lot.entries]
+                assert support == sum(bits) and len(alternatives) == len(bits)
+                assert all(reach & bit for reach, bit in zip(alternatives, bits))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scan_order_changes_no_result_and_no_error(self, seed):

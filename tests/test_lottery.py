@@ -2,6 +2,7 @@ import copy
 import functools
 import gc
 import itertools
+import math
 import pickle
 import random
 import subprocess
@@ -27,13 +28,15 @@ from partialpref.lottery import (
     make_lottery,
     mixture_table,
 )
-from partialpref.relation import check_id
+from partialpref.engine import compare
+from partialpref.relation import RelKind, build_base_relation, check_id
 
 from conftest import alt_names, grid_lotteries, random_grid_lottery
 
 
 def fraction_sum_lottery(pairs, normalize=False):
-    """``make_lottery`` as it was written on Fraction sums."""
+    """The entries and integer form ``make_lottery`` gives, as it was
+    written on Fraction sums."""
     acc = {}
     for alternative, weight in pairs:
         check_id(alternative)
@@ -48,17 +51,19 @@ def fraction_sum_lottery(pairs, normalize=False):
         acc = {a: w / total for a, w in acc.items()}
     elif total != 1:
         raise NotNormalized(total)
-    return Lottery(entries=tuple(sorted((a, w) for a, w in acc.items() if w > 0)))
+    entries = tuple(sorted((a, w) for a, w in acc.items() if w > 0))
+    denom = math.lcm(*(w.denominator for _, w in entries))
+    return entries, (denom, {a: w.numerator * (denom // w.denominator) for a, w in entries})
 
 
 def outcome(build, pairs, normalize):
-    """What ``build`` returns, with the integer form it computes, or the
+    """The entries and integer form of what ``build`` returns, or the
     type, message and attributes of what it raises."""
     try:
-        lot = build(pairs, normalize=normalize)
+        made = build(pairs, normalize=normalize)
     except (NegativeWeight, EmptySupport, NotNormalized, MalformedId) as exc:
         return type(exc), str(exc), vars(exc)
-    return lot.entries, lot.integer_form
+    return (made.entries, made.integer_form) if isinstance(made, Lottery) else made
 
 
 class TestCachedHash:
@@ -154,6 +159,48 @@ class TestMakeLottery:
 
     def test_degenerate(self):
         assert Lottery.degenerate("a").weight("a") == 1
+
+
+class TestConstructor:
+    """``Lottery(entries)`` is ``make_lottery(entries)``: the same checks,
+    and the one interned object."""
+
+    def test_unsorted_entries_give_the_interned_lottery(self):
+        half = F(1, 2)
+        lot = make_lottery([("a", half), ("b", half)])
+        assert Lottery((("b", half), ("a", half))) is lot
+        assert Lottery(entries=[("b", F(1, 3)), ("a", F(2, 3))]) is make_lottery(
+            [("a", F(2, 3)), ("b", F(1, 3))])
+        # a pair of the two is one lottery, not incomparable twins
+        rel = build_base_relation([], extra_universe={"a", "b"})
+        assert compare(rel, Lottery((("b", half), ("a", half))), lot).members == {RelKind.EQUIV}
+
+    @pytest.mark.parametrize("entries, error", [
+        ((("a", F(3, 2)), ("b", F(-1, 2))), NegativeWeight),
+        ((("a", F(1, 2)), ("b", F(1, 3))), NotNormalized),
+        ((("a", F(1, 2)),), NotNormalized),
+        ((("a", 0),), EmptySupport),
+        ((("a b", 1),), MalformedId),
+    ])
+    def test_raises_the_errors_of_make_lottery(self, entries, error):
+        with pytest.raises(error) as raised:
+            Lottery(entries)
+        with pytest.raises(error) as expected:
+            make_lottery(entries)
+        assert str(raised.value) == str(expected.value) and vars(raised.value) == vars(expected.value)
+
+    def test_a_repeated_alternative_is_summed(self):
+        half = F(1, 2)
+        lot = Lottery((("a", half), ("a", half)))
+        assert lot is Lottery.degenerate("a")
+        assert lot.integer_form == (1, {"a": 1}) and lot.weight("a") == 1
+
+    def test_int_weights_give_fraction_entries(self):
+        # whatever constructor comes first, the entries are Fractions
+        lot = Lottery((("int-weight", 1),))
+        assert lot is Lottery.degenerate("int-weight") is make_lottery([("int-weight", F(1))])
+        assert all(type(w) is F for _, w in lot.entries)
+        assert repr(lot) == "Lottery(entries=(('int-weight', Fraction(1, 1)),))"
 
 
 class TestEquality:
