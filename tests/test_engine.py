@@ -125,7 +125,8 @@ def residual_graph_max_flow(excess, deficit, edges):
 
 
 # a support pair's kind as one bit, indexed by [a <= b][b <= a]
-KIND_BIT = ((1, 2), (4, 8))  # INCOMP 1, GREATER 2, LESS 4, EQUIV 8
+K_INCOMP, K_GREATER, K_LESS, K_EQUIV = 1, 2, 4, 8
+KIND_BIT = ((K_INCOMP, K_GREATER), (K_LESS, K_EQUIV))
 
 
 def pairwise_support_kinds(rel, f, g):
@@ -145,8 +146,9 @@ def rule_bits(kinds):
     """The rule bits of ``engine._support_kinds`` for a mask of support-pair
     kinds: a pair that is > or # blocks R1, one that is < or # blocks R2,
     one that is < blocks R4 and one that is > blocks R5."""
-    return ((kinds & 3 and engine._NOT_LE) | (kinds & 5 and engine._NOT_GE)
-            | (kinds & 4 and engine._SOME_LESS) | (kinds & 2 and engine._SOME_GREATER))
+    return ((kinds & (K_GREATER | K_INCOMP) and engine._NOT_LE)
+            | (kinds & (K_LESS | K_INCOMP) and engine._NOT_GE)
+            | (kinds & K_LESS and engine._SOME_LESS) | (kinds & K_GREATER and engine._SOME_GREATER))
 
 
 def unpruned_shift_reachable(rel, f, g):
@@ -508,7 +510,7 @@ class TestProfilesAgreeWithOracles:
                           lambda rel, f, g: rule_bits(pairwise_support_kinds(rel, f, g))),
         "compare": (compare, oracle_compare),
         "dominates": (dominates,
-                      lambda rel, f, g: not pairwise_support_kinds(rel, f, g) & 3),
+                      lambda rel, f, g: not pairwise_support_kinds(rel, f, g) & (K_GREATER | K_INCOMP)),
         "shift_reachable": (shift_reachable, unpruned_shift_reachable),
     }
 
@@ -654,8 +656,8 @@ class TestCompare:
 
     @pytest.mark.parametrize("kinds", range(16))
     def test_verdict_table_without_shifts(self, kinds):
-        # kinds bits as in KIND_BIT: INCOMP 1, GREATER 2, LESS 4, EQUIV 8
-        pairs = {k for bit, k in zip((1, 2, 4, 8), (I, G, L, E)) if kinds & bit}
+        pairs = {k for bit, k in zip((K_INCOMP, K_GREATER, K_LESS, K_EQUIV), (I, G, L, E))
+                 if kinds & bit}
         expected = engine.AdmissibleSet.refute((
             (pairs <= {L, E} and "R1 dominance f <= g: every support pair is < or ~",
              engine.REFUTES["<="]),
@@ -718,7 +720,6 @@ class TestExplanationsOnDemand:
                 fg, gf = shift_reachable(rel, x, y), shift_reachable(rel, y, x)
                 kinds = rule_bits(pairwise_support_kinds(rel, x, y))
                 eager = engine.AdmissibleSet.refute(engine._rules(kinds, fg, gf))
-                eager = engine.AdmissibleSet(eager.members, eager.provenance)
                 assert "_decided" in vars(verdict)
                 self.assert_like(verdict, eager, "provenance")
                 assert verdict.members == ({L} if x is f else {G})
