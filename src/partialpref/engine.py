@@ -298,24 +298,19 @@ def shift_reachable(rel: BaseRelation, f: Lottery, g: Lottery):
     weights over its common denominator; a plan holds that integer flow
     and builds its ``Fraction`` moves on first read.
 
-    When both lotteries have a profile in ``rel.profiles`` (``compare``
-    builds them before its shift tests), three necessary conditions are
-    bit tests: some alternative of f is strictly below one of g, every
-    alternative of f outside supp(g) has one of supp(g) strictly above
-    it, and every alternative of g outside supp(f) has one of supp(f)
-    strictly below it.  No profile is built here: ``saturate``'s pairs
-    have passed :func:`up_masses` and rarely fail these tests.
+    Three necessary conditions are bit tests on the lotteries' profiles
+    in ``rel.profiles``, looked up for f, then g: some alternative of f is
+    strictly below one of g, every alternative of f outside supp(g) has
+    one of supp(g) strictly above it, and every alternative of g outside
+    supp(f) has one of supp(f) strictly below it.
     """
-    profiles = rel.profiles
-    pf, pg = profiles.get(f), profiles.get(g)
-    if pf is not None and pg is not None:
-        support_f, above_f, _, alts_f = pf
-        support_g = pg[0]
-        if not above_f & support_g or support_g & ~(support_f | above_f):
+    support_f, above_f, _, alts_f = rel.profiles[f]
+    support_g = rel.profiles[g][0]
+    if not above_f & support_g or support_g & ~(support_f | above_f):
+        return None
+    for reach in alts_f:
+        if not reach & support_g:
             return None
-        for reach in alts_f:
-            if not reach & support_g:
-                return None
     (df, nf), (dg, ng) = f.integer_form, g.integer_form
     up = rel.up
     denom = lcm(df, dg)
@@ -387,8 +382,6 @@ def compare(rel: BaseRelation, f: Lottery, g: Lottery) -> AdmissibleSet:
     # when f => g has no plan (Strassen 1965; Kamae, Krengel & O'Brien 1977)
     fg = shift_reachable(rel, f, g)
     gf = shift_reachable(rel, g, f) if fg is None else None
-    if fg is None and gf is None and kinds in _NO_SHIFT:
-        return _NO_SHIFT[kinds]
     return _verdict(kinds, fg, gf)
 
 
@@ -515,11 +508,12 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
 
     Seeds weak facts with dominance and strict facts with shift witnesses
     over the pool (family members plus degenerate lotteries on their
-    supports): dominance is one subset test per pair, and shift transport
-    runs only on the pairs that :func:`up_masses` leaves possible.  Then
-    closes under A1'-A5 as :func:`consequences` states them,
-    restricted to mixtures that are themselves pool members.  The result
-    is restricted to pairs of family members.
+    supports): dominance is one bit test per pair on the lotteries'
+    profiles in ``rel.profiles``, looked up in pool order, and shift
+    transport runs only on the pairs that :func:`up_masses` leaves
+    possible.  Then closes under A1'-A5 as :func:`consequences` states
+    them, restricted to mixtures that are themselves pool members.  The
+    result is restricted to pairs of family members.
     """
     family = list(dict.fromkeys(family))
     degenerates = [Lottery.degenerate(a) for lot in family for a, _ in lot.entries]
@@ -539,12 +533,11 @@ def saturate(rel: BaseRelation, family) -> DerivedFacts:
         prov[pair] = (rule, premises)
         return True
 
-    # x dominates y iff supp(y) lies in the up-set of every alternative of x
-    supports = [frozenset(a for a, _ in lot.entries) for lot in pool]
-    above_all = [frozenset.intersection(*(rel.up[a] for a, _ in lot.entries)) for lot in pool]
+    # x dominates y iff the support bits of y lie in the up_all bits of x
+    profiles = [rel.profiles[lot] for lot in pool]
     mass = up_masses(rel, pool)
     for x, y in permutations(range(len(pool)), 2):
-        if supports[y] <= above_all[x]:
+        if not profiles[y][0] & ~profiles[x][2]:
             add((x, y), "seed-dominance", (x, y))
         if mass[x] != mass[y] and all(map(le, mass[x], mass[y])):
             plan = shift_reachable(rel, pool[x], pool[y])

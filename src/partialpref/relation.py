@@ -1,9 +1,10 @@
 """Base partial preorder over alternatives.
 
-Alternatives are plain identifier strings.  Declared preference facts are
-closed reflexively and transitively at construction time, as one bitmask
-per alternative; a built :class:`BaseRelation` is immutable and classifies
-any pair of alternatives into one of the four judgment symbols.
+Alternatives are plain identifier strings.  Declared preference facts, or
+given up-sets, are closed reflexively and transitively at construction
+time, as one bitmask per alternative; a built :class:`BaseRelation` is
+immutable and classifies any pair of alternatives into one of the four
+judgment symbols.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from enum import Enum
-from itertools import chain, compress
+from itertools import compress
 
 from .errors import MalformedId, StrictViolation, UnknownAlternative
 
@@ -159,8 +160,7 @@ class _Profiles(dict):
     the support, the OR of its alternatives' strictly-above masks, the AND
     of their up masks, and for each alternative in entries order its bit
     ORed with its strictly-above mask.  b is strictly above a when b is in
-    ``up[a]`` and a is not in ``up[b]``; a member b of ``up[a]`` with no
-    mask of its own is strictly above a.
+    ``up[a]`` and a is not in ``up[b]``.
     """
 
     __slots__ = ("_index", "_masks", "_up")
@@ -178,7 +178,7 @@ class _Profiles(dict):
             i = index[a]
             above_a = 0
             for b in members:
-                if not masks.get(b, 0) >> i & 1:
+                if not masks[b] >> i & 1:
                     above_a |= 1 << index[b]
             support |= 1 << i
             above |= above_a
@@ -197,20 +197,25 @@ class BaseRelation:
     first access; the members of one equivalence class share one
     frozenset, and an unknown a raises :class:`UnknownAlternative`.
     ``profiles`` keeps the bit profile of each lottery looked up in it,
-    for as long as the relation lives.
+    for as long as the relation lives.  Every relation is a preorder: both
+    constructors close their input with :func:`_close`, and
+    :meth:`restrict` cuts closed masks down.
     Equality compares the universe and ``up``; the hash reads the
     universe alone, as ``up`` is a dict.
     """
 
     def __init__(self, universe: frozenset[str], up: dict[str, frozenset[str]]):
-        """The relation whose up-sets are ``up``, which need not be closed;
-        each key of ``up`` must be in ``universe``."""
-        for a in up:
-            if a not in universe:
-                raise UnknownAlternative(a)
-        index = {a: i for i, a in enumerate(dict.fromkeys(chain(universe, up, *up.values())))}
-        masks = {a: sum(1 << index[b] for b in above) for a, above in up.items()}
-        self.__dict__.update(universe=universe, _index=index, _masks=masks)
+        """The closure of ``up`` over ``universe``: a <= b for each b in
+        ``up[a]``, and a <= a for each a in the universe.  Each key and
+        member of ``up`` must be in ``universe``."""
+        succ = dict.fromkeys(universe, ())
+        for a, above in up.items():
+            for b in (a, *above):
+                if b not in succ:
+                    raise UnknownAlternative(b)
+            succ[a] = above
+        index, masks = _close(succ)
+        self.__dict__.update(universe=frozenset(masks), _index=index, _masks=masks)
 
     @classmethod
     def _from_masks(cls, index: dict[str, int], masks: dict[str, int]) -> "BaseRelation":
@@ -260,8 +265,8 @@ class BaseRelation:
         return sum(mask.bit_count() for mask in self._masks.values())
 
     def restrict(self, alternatives) -> "BaseRelation":
-        """The preorder induced on those of ``alternatives`` that have a mask
-        (built from facts, those in the universe): each one's mask cut down.
+        """The preorder induced on those of ``alternatives`` that are in the
+        universe, so have a mask: each one's mask cut down.
 
         Every pair of those alternatives classifies as in ``self``, and
         every other alternative is unknown to the result.

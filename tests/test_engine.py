@@ -240,25 +240,26 @@ def lottery(*pairs):
 class TestUnknownAlternatives:
     """Each query names the alternative its lookups meet first: the support
     pairs in order, led by f's first alternative, or for shift transport
-    the first of the sorted union of both supports."""
+    f's alternatives in entries order, then g's, as ``saturate`` does;
+    ``up_masses`` reads the sorted union of the supports."""
 
     REL = build_base_relation([strict("x0", "x1")], extra_universe={"x2"})
-    CASES = {  # f, g, then the names for (f, g), for (g, f) and for shift transport
+    CASES = {  # f, g, then the names for (f, g) and (g, f), then for shift transport both ways
         "in f": (
             lottery(("b", "1/4"), ("x0", "1/4"), ("zz", "1/2")), lottery(("x1", 1)),
-            "b", "b", "b",
+            "b", "b", "b", "b",
         ),
         "in g": (
             lottery(("x0", 1)), lottery(("x1", "1/2"), ("y", "1/4"), ("zz", "1/4")),
-            "y", "y", "y",
+            "y", "y", "y", "y",
         ),
         "in both, f first": (
             lottery(("m", "1/2"), ("x0", "1/2")), lottery(("b", "1/2"), ("x1", "1/2")),
-            "m", "b", "b",
+            "m", "b", "m", "b",
         ),
         "in both, g first": (
             lottery(("x0", "1/2"), ("y", "1/2")), lottery(("x1", "1/2"), ("zz", "1/2")),
-            "zz", "y", "y",
+            "zz", "y", "y", "zz",
         ),
     }
 
@@ -270,13 +271,13 @@ class TestUnknownAlternatives:
 
     @pytest.mark.parametrize("case", CASES)
     def test_each_query_names_the_same_alternative(self, case):
-        f, g, fg, gf, shift = self.CASES[case]
+        f, g, fg, gf, shift_fg, shift_gf = self.CASES[case]
         rel, named = self.REL, self.named
         for query in (compare, dominates, cross_profile):
             assert named(lambda: query(rel, f, g)) == fg
             assert named(lambda: query(rel, g, f)) == gf
-        assert named(lambda: shift_reachable(rel, f, g)) == shift
-        assert named(lambda: shift_reachable(rel, g, f)) == shift
+        assert named(lambda: shift_reachable(rel, f, g)) == shift_fg
+        assert named(lambda: shift_reachable(rel, g, f)) == shift_gf
         assert named(lambda: maximal_filter(rel, [("o", f), ("p", g)])) == fg
         assert named(lambda: maximal_filter(rel, [("p", g), ("o", f)])) == gf
 
@@ -306,10 +307,11 @@ class TestUnknownAlternatives:
             pairwise = first_unknown(alts_f[0], *alts_g, *alts_f)
             for query in (compare, dominates, cross_profile):
                 assert self.named(lambda: query(rel, f, g)) == pairwise
+            entries = first_unknown(*alts_f, *alts_g)
+            assert self.named(lambda: shift_reachable(rel, f, g)) == entries
+            assert self.named(lambda: saturate(rel, [f, g])) == entries
             union = first_unknown(*sorted({*alts_f, *alts_g}))
-            assert self.named(lambda: shift_reachable(rel, f, g)) == union
             assert self.named(lambda: engine.up_masses(rel, [f, g])) == union
-            assert self.named(lambda: saturate(rel, [f, g])) == first_unknown(*alts_f, *alts_g)
 
 
 class TestDominates:
@@ -516,14 +518,17 @@ class TestProfilesAgreeWithOracles:
 
     @staticmethod
     def open_relation(rng):
-        """``BaseRelation(universe, up)`` from up-sets that need not be
-        closed or reflexive, some with members outside the universe, and
-        sometimes an alternative of the universe with no up-set."""
+        """``BaseRelation(universe, up)`` from an up dict inside the universe
+        that need not be closed or reflexive, and sometimes has no up-set
+        for an alternative of the universe: the relation closed from its
+        pairs as weak facts."""
         alts = alt_names(rng.randint(2, 5))
-        outside = ["p0", "p1"]
         keys = alts if rng.random() < 0.7 else alts[:-1]
-        up = {a: frozenset(b for b in alts + outside if rng.random() < 0.45) for a in keys}
-        return BaseRelation(frozenset(alts), up)
+        up = {a: frozenset(b for b in alts if rng.random() < 0.45) for a in keys}
+        rel = BaseRelation(frozenset(alts), up)
+        facts = [PrefFact(FactKind.WEAK, a, b) for a, above in up.items() for b in above]
+        assert rel == build_base_relation(facts, extra_universe=alts)
+        return rel
 
     def assert_agree(self, rng, rel, lots, rounds):
         """Random queries on ordered pairs of ``lots``, repeats included,
@@ -553,10 +558,11 @@ class TestProfilesAgreeWithOracles:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_open_relations(self, seed):
+        # relations built from unclosed up dicts
         rng = random.Random(f"profiles-open-{seed}")
         for _ in range(60):
             rel = self.open_relation(rng)
-            names = sorted(rel.universe) + rng.choice([[], [], ["p0"], ["zz"]])
+            names = sorted(rel.universe) + rng.choice([[], [], ["zz"]])
             self.assert_agree(rng, rel, self.lotteries(rng, names, rng.randint(2, 6)), 30)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -608,6 +614,15 @@ class TestCompare:
         rel = build_base_relation([PrefFact(FactKind.EQUIV, "a", "b")])
         f = make_lottery([("a", F(1, 2)), ("b", F(1, 2))])
         assert compare(rel, f, deg("b")).members == {E}
+
+    def test_a_cycle_of_up_sets_is_one_class(self):
+        # a <= c <= b <= d <= a closes to one class: no strict shift either way
+        up = {"a": frozenset("ac"), "c": frozenset("cb"), "b": frozenset("bd"), "d": frozenset("da")}
+        rel = BaseRelation(frozenset("abcd"), up)
+        f = make_lottery([("a", F(1, 2)), ("b", F(1, 2))])
+        g = make_lottery([("c", F(1, 2)), ("d", F(1, 2))])
+        assert compare(rel, f, g).members == compare(rel, g, f).members == {E}
+        assert shift_reachable(rel, f, g) is None and shift_reachable(rel, g, f) is None
 
     @pytest.mark.parametrize("seed", range(40))
     def test_randomized_invariants(self, seed):
@@ -1038,14 +1053,17 @@ class TestSaturateAgreesWithCompare:
 
 
 class TestSaturateSeeding:
-    """``saturate`` seeds dominance by one subset test per pair and calls
-    ``shift_reachable`` only on pairs whose up-set masses allow a shift."""
+    """``saturate`` seeds dominance by one bit test on the lottery profiles
+    per pair and calls ``shift_reachable`` only on pairs whose up-set
+    masses allow a shift."""
 
     def test_subset_test_is_dominance(self):
         for rel, _, pool in seeding_cases(61, 80):
             for f, g in itertools.product(pool, repeat=2):
                 above_all = frozenset.intersection(*(rel.up[a] for a in f.support()))
                 assert (g.support() <= above_all) == dominates(rel, f, g), (f, g)
+                bits = not rel.profiles[g][0] & ~rel.profiles[f][2]
+                assert bits == dominates(rel, f, g), (f, g)
 
     def test_every_shift_passes_the_mass_test(self):
         shifts = 0

@@ -1,4 +1,5 @@
-"""Metamorphic properties of the engine over random closed relations.
+"""Metamorphic properties of the engine over random closed relations,
+and relations closed from random up dicts.
 
 Each test changes an input in a way that must not change the answer:
 swapping the two lotteries mirrors the verdict, renaming the alternatives
@@ -17,7 +18,7 @@ from partialpref.engine import compare, dominates, maximal_filter, shift_reachab
 from partialpref.lottery import make_lottery
 from partialpref.relation import BaseRelation, FactKind, PrefFact, build_base_relation
 
-from conftest import mixed_relation, random_grid_lottery
+from conftest import alt_names, mixed_relation, random_grid_lottery
 
 
 def lotteries(rng, rel, count):
@@ -39,6 +40,16 @@ def test_swapping_the_lotteries_mirrors_the_verdict(seed):
                     members = compare(built, f, g).members
                     assert compare(built, g, f).members == {k.mirror() for k in members}
                     assert members == compare(rel, f, g).members
+        # the closure of a random up dict, neither reflexive nor transitive
+        alts = alt_names(rng.randint(2, 6))
+        unclosed = BaseRelation(frozenset(alts), {
+            a: frozenset(b for b in alts if b != a and rng.random() < 0.3) for a in alts
+        })
+        lots = lotteries(rng, unclosed, 5)
+        for f in lots:
+            for g in lots:
+                members = compare(unclosed, f, g).members
+                assert compare(unclosed, g, f).members == {k.mirror() for k in members}
 
 
 def renamed(rng, rel):

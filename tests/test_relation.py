@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partialpref.engine import compare
 from partialpref.errors import MalformedId, StrictViolation, UnknownAlternative
 from partialpref.lottery import Lottery
 from partialpref.relation import (
@@ -262,25 +261,33 @@ class TestMaskedClosure:
                 assert rel.up[a] is rel.up[b]
         assert rel == build_base_relation(facts, extra_universe=universe)
 
-    @pytest.mark.parametrize("up", [{}, {"a": frozenset()}, {"a": frozenset("b")}])
-    def test_any_up_dict_round_trips(self, up):
-        # up-sets that are not reflexive or name alternatives outside the
-        # universe are kept as given
-        rel = BaseRelation(frozenset("a"), up)
-        assert rel.up == up and rel.count_pairs() == sum(map(len, up.values()))
+    def test_every_up_dict_closes_as_its_pairs(self):
+        # each of the 512 up dicts on a, b, c, and each with the key c
+        # left out, is the relation closed from its pairs as weak facts
+        universe = frozenset("abc")
+        subsets = [frozenset(c) for k in range(4) for c in itertools.combinations("abc", k)]
+        for ups in itertools.product(subsets, repeat=3):
+            full = dict(zip("abc", ups))
+            for up in full, {a: above for a, above in full.items() if a != "c"}:
+                rel = BaseRelation(universe, up)
+                built = build_base_relation(
+                    [weak(a, b) for a, above in up.items() for b in above], extra_universe=universe
+                )
+                assert rel == built and hash(rel) == hash(built) and rel.universe == universe
+                assert rel.count_pairs() == built.count_pairs() == len(rel.weak)
+                for a, b in itertools.product(universe, repeat=2):
+                    assert rel.classify(a, b) is built.classify(a, b)
 
-    def test_an_alternative_without_an_up_set_is_unknown(self):
-        # "b" is in the universe, but no up-set was given for it
-        rel = BaseRelation(frozenset("ab"), {"a": frozenset("a")})
-        for call in (
-            lambda: rel.classify("b", "b"),
-            lambda: rel.holds("a", "b"),
-            lambda: compare(rel, Lottery.degenerate("a"), Lottery.degenerate("b")),
-        ):
-            with pytest.raises(UnknownAlternative) as info:
-                call()
-            assert info.value.ident == "b"
-        assert rel.restrict(["b", "a"]) == BaseRelation(frozenset("a"), {"a": frozenset("a")})
+    def test_a_plain_set_universe_builds_the_same_value(self):
+        up = {"a": frozenset("b")}
+        rel, other = BaseRelation({"a", "b"}, up), BaseRelation(frozenset("ab"), up)
+        assert type(rel.universe) is frozenset
+        assert rel == other and hash(rel) == hash(other) and len({rel, other}) == 1
+
+    def test_an_up_set_member_outside_the_universe_is_unknown(self):
+        with pytest.raises(UnknownAlternative) as info:
+            BaseRelation(frozenset("ab"), {"a": frozenset("a"), "b": frozenset("bz")})
+        assert info.value.ident == "z"
 
     def test_an_up_set_key_outside_the_universe_is_unknown(self):
         with pytest.raises(UnknownAlternative) as info:

@@ -41,8 +41,8 @@ CASES = {
     ),
     "BaseRelation": lambda: (
         BaseRelation(A, {"a": A}),
-        BaseRelation(universe=frozenset("a"), up={"a": frozenset("a")}),
-        BaseRelation(A, {"a": frozenset()}),  # only ``up`` differs
+        BaseRelation(universe=A, up={}),  # closed to the same up-sets
+        BaseRelation(frozenset("ab"), {"a": A}),
         "BaseRelation(universe=frozenset({'a'}), up={'a': frozenset({'a'})})",
     ),
     "AdmissibleSet": lambda: (
@@ -119,7 +119,9 @@ class TestValueClass:
             assert value != tuple(value) or hash(value) == hash(tuple(value))
         # the fields left out of equality leave the hash alone too
         if name == "BaseRelation":
-            assert hash(value) == hash(unequal)
+            ab = frozenset("ab")
+            isolated, chain = BaseRelation(ab, {}), BaseRelation(ab, {"a": ab})
+            assert isolated != chain and hash(isolated) == hash(chain)
 
     def test_immutable(self, name):
         value, _, _, _ = CASES[name]()
